@@ -45,7 +45,6 @@ let run_dump seed replicas clients ops loss partitions capacity format out
             | Ok events -> Ok (`Events (filtered events))
             | Error e -> Error (Fmt.str "corrupt trace %s: %s" path e)))
     | None ->
-        let tracer = Obs.Trace.create ~capacity () in
         (* the store/net/sim layers: a seeded cluster run *)
         let results =
           Store.Cluster.run
@@ -56,13 +55,16 @@ let run_dump seed replicas clients ops loss partitions capacity format out
               workload =
                 { Store.Workload.default_spec with ops_per_client = ops };
               loss;
-              partitions;
+              script =
+                Option.fold ~none:[] ~some:Harness.Script.of_partitions
+                  partitions;
               seed;
-              tracer = Some tracer;
+              trace_capacity = capacity;
             }
         in
-        (* the ioa layer: a short system-B action trail through the
-           harness *)
+        let tracer = results.Store.Cluster.trace in
+        (* the ioa layer, into the same trace: a short system-B action
+           trail through the harness *)
         (if not no_ioa then
            match Quorum.Harness.run_and_check ~max_steps:400 ~tracer ~seed () with
            | Ok _ -> ()
@@ -212,7 +214,6 @@ let dump_term =
 
 let run_attribution seed replicas clients ops loss shards burst batch_window
     storage_cost fsync_cost json out =
-  let tracer = Obs.Trace.create ~capacity:262144 ~enabled:true () in
   let results =
     Store.Cluster.run
       {
@@ -222,7 +223,7 @@ let run_attribution seed replicas clients ops loss shards burst batch_window
         n_shards = shards;
         loss;
         seed;
-        tracer = Some tracer;
+        trace_capacity = 262144;
         trace_ctx = true;
         batch_window;
         storage_cost;
@@ -243,8 +244,9 @@ let run_attribution seed replicas clients ops loss shards burst batch_window
           };
       }
   in
-  let events = Obs.Trace.events tracer in
-  let bs = Obs.Attribution.of_events events in
+  let bs =
+    Obs.Attribution.of_events (Obs.Trace.events results.Store.Cluster.trace)
+  in
   (* self-check: the decomposition must be exact — every operation's
      phases sum to its wall latency *)
   let bad =

@@ -12,7 +12,11 @@ let run_one name strategy =
       {
         Store.Cluster.default_params with
         strategy;
-        failures = Some { Sim.Failure.mtbf = 500.0; mttr = 80.0 };
+        script =
+          [
+            Harness.Script.Crash_storm
+              { Sim.Failure.mtbf = 500.0; mttr = 80.0 };
+          ];
         workload =
           {
             Store.Workload.default_spec with

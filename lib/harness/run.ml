@@ -2,14 +2,13 @@
     primitives — {!Sim.Net} link cuts and fault filters,
     {!Sim.Failure} injectors — against a running cluster environment.
 
-    Byte-identity contract: the two storm steps and [Kill_shard] are
-    the legacy nemesis knobs, and installing them reproduces the
-    pre-script code paths draw for draw — same PRNG streams (the
-    bipartition storm derives its generator from [seed lxor 0x9a97],
-    the crash storm draws from the simulation PRNG via
-    {!Sim.Failure.attach}), same [Core.schedule] call order, same trace
-    instants.  Seeded runs of legacy configurations digest identically
-    before and after the script refactor; golden tests pin this.
+    Byte-identity contract: the two storm steps and [Kill_shard]
+    reproduce the pre-script nemesis code paths draw for draw — same
+    PRNG streams (the bipartition storm derives its generator from
+    [seed lxor 0x9a97], the crash storm draws from the simulation PRNG
+    via {!Sim.Failure.attach}), same [Core.schedule] call order, same
+    trace instants.  Golden digests captured before the script
+    refactor pin this.
 
     Timed generic steps are new behaviour and emit their own
     ["nemesis.step"] instants; they drive node health through
@@ -86,17 +85,11 @@ let install_storm env ~mean ~cycles =
 
 (* ---------- generic timed actions ---------- *)
 
-let shard_group env what s =
-  if s < 0 || s >= Array.length env.groups then
-    invalid_arg
-      (Fmt.str "Harness.Run.install: %s shard %d out of range" what s)
-  else env.groups.(s)
-
 let fire env injector (action : Script.action) =
   let { sim; net; _ } = env in
   let tracer = Core.tracer sim in
   (match action with
-  (* the legacy shard-kill emits only its historical instant *)
+  (* a shard kill emits only its historical instant *)
   | Script.Kill_shard _ -> ()
   | _ ->
       if Obs.Trace.enabled tracer then
@@ -129,36 +122,35 @@ let fire env injector (action : Script.action) =
   | Script.Link_clear { src; dst } -> Net.clear_link_filter net ~src ~dst
   | Script.Loss p -> Net.set_loss net p
   | Script.Pause_shard s ->
-      Array.iter (fun r -> Net.crash net r) (shard_group env "pause" s)
+      Array.iter (fun r -> Net.crash net r) env.groups.(s)
   | Script.Resume_shard s ->
-      Array.iter (fun r -> Net.recover net r) (shard_group env "resume" s)
+      Array.iter (fun r -> Net.recover net r) env.groups.(s)
   | Script.Kill_shard s ->
-      let group = shard_group env "kill" s in
       if Obs.Trace.enabled tracer then
         Obs.Trace.instant tracer ~cat:"store" ~name:"nemesis.shard_kill"
           ~track:"nemesis"
           ~args:[ ("shard", Obs.Trace.Int s) ]
           ();
-      Array.iter (fun r -> Net.crash net r) group
+      Array.iter (fun r -> Net.crash net r) env.groups.(s)
 
 (** Install the script against the environment: timed steps schedule
-    their actions, storms start their legacy processes.  Returns every
-    {!Sim.Failure} injector handle the script created (one per node
+    their actions, storms start their stochastic processes.  Returns
+    every {!Sim.Failure} injector handle the script created (one per node
     under a [Crash_storm], one per node a scripted [Crash]/[Recover]
     touches), so callers can inspect realized up-fractions. *)
 let install (env : 'msg env) (script : Script.t) : Sim.Failure.t list =
   (match Script.validate script with
   | Ok () -> ()
   | Error e -> invalid_arg (Fmt.str "Harness.Run.install: %s" e));
-  (* validate shard references eagerly — a bad index should fail at
-     install, not minutes into a run *)
+  (* validate shard references eagerly — a bad index fails at install,
+     not minutes into a run, and [fire] can index the groups directly *)
   List.iter
     (function
-      | Script.At (_, (Script.Pause_shard s | Script.Resume_shard s))
+      | Script.At
+          ( _,
+            ( Script.Pause_shard s | Script.Resume_shard s
+            | Script.Kill_shard s ) )
         when s >= Array.length env.groups ->
-          invalid_arg
-            (Fmt.str "Harness.Run.install: shard %d out of range" s)
-      | Script.At (_, Script.Kill_shard s) when s >= Array.length env.groups ->
           invalid_arg
             (Fmt.str "Harness.Run.install: shard %d out of range" s)
       | _ -> ())

@@ -1,10 +1,11 @@
 (** The script interpreter: compile a {!Script.t} onto {!Sim.Net} and
     {!Sim.Failure} against a cluster environment.
 
-    Installing the legacy steps ([Bipartition_storm], [Crash_storm],
-    [Kill_shard]) reproduces the pre-script nemesis code paths draw
+    Installing the storm steps ([Bipartition_storm], [Crash_storm])
+    and [Kill_shard] reproduces the pre-script nemesis code paths draw
     for draw — same PRNG streams, schedule call order and trace
-    instants — so seeded legacy runs digest identically.  Generic
+    instants — so the golden digests captured before the script
+    refactor still hold.  Generic
     timed steps are new behaviour and emit their own ["nemesis.step"]
     instants. *)
 

@@ -3,13 +3,10 @@
     A script is a list of steps.  Most steps are timed one-shots —
     partition these sides at t, crash this node, install a drop filter
     on that link, heal everything — and two are seeded stochastic
-    processes lifted from the old ad-hoc nemesis knobs: the random
-    bipartition storm ([Bipartition_storm], the former
-    [Cluster.params.partitions]) and the exponential crash/recover
-    process ([Crash_storm], the former [failures]).  The legacy knobs
-    are now thin constructors over scripts ({!of_partitions},
-    {!of_failures}, {!of_shard_kill}), and compiling them through the
-    interpreter reproduces the historical runs byte for byte.
+    processes: the random bipartition storm ([Bipartition_storm]) and
+    the exponential crash/recover process on every replica
+    ([Crash_storm]).  Scripts are the only fault surface of a cluster
+    run ([Cluster.params.script]).
 
     Scripts print to and parse from a compact one-line format, so a
     failing fuzzer seed turns into a copy-pasteable repro:
@@ -35,20 +32,19 @@ type action =
   | Pause_shard of int  (** crash every replica of the shard *)
   | Resume_shard of int  (** recover every replica of the shard *)
   | Kill_shard of int
-      (** crash every replica of the shard for good (the legacy
-          [shard_kill] nemesis — no later resume is scheduled, though a
-          [Resume_shard] step may still revive it) *)
+      (** crash every replica of the shard for good — no later
+          resume is scheduled, though a [Resume_shard] step may still
+          revive it *)
 
 type step =
   | At of float * action  (** fire the action at this virtual time *)
   | Bipartition_storm of { mean : float; cycles : int }
       (** every ~[mean] time units, cut the replicas along a random
           bipartition (clients follow one side) and heal half a period
-          later, for [cycles] cycles — the legacy [partitions] nemesis,
-          seeded from the run seed *)
+          later, for [cycles] cycles; seeded from the run seed *)
   | Crash_storm of Sim.Failure.spec
       (** exponential crash/recover processes on every replica (MTBF
-          up, MTTR down) — the legacy [failures] nemesis *)
+          up, MTTR down) *)
 
 type t = step list
 
@@ -274,19 +270,9 @@ let validate (s : t) =
   in
   go 0 s
 
-(* ---------- the legacy knobs as thin constructors ---------- *)
-
+(* A bipartition storm of the historical 64 cycles — the workload
+   finishes long before, and the bound lets the event queue drain. *)
 let of_partitions mean : t = [ Bipartition_storm { mean; cycles = 64 } ]
-let of_failures spec : t = [ Crash_storm spec ]
-let of_shard_kill (s, at) : t = [ At (at, Kill_shard s) ]
-
-(* Order matters for byte-identity: the pre-script cluster installed
-   failures, then partitions, then shard_kill, so the compiled steps
-   keep that order. *)
-let of_legacy ?failures ?partitions ?shard_kill () : t =
-  (match failures with Some s -> of_failures s | None -> [])
-  @ (match partitions with Some m -> of_partitions m | None -> [])
-  @ (match shard_kill with Some k -> of_shard_kill k | None -> [])
 
 (* ---------- shape queries ---------- *)
 

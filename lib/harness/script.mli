@@ -1,10 +1,12 @@
 (** The fault-schedule DSL: a cluster-test scenario as data.
 
-    A script is a list of steps — timed one-shot actions plus the two
-    seeded stochastic processes lifted from the old ad-hoc nemesis
-    knobs.  Scripts validate, print to and parse from a compact
-    one-line text format (so a failing fuzzer seed becomes a
-    copy-pasteable repro), and shrink for failure minimization:
+    A script is a list of steps — timed one-shot actions plus two
+    seeded stochastic processes, the crash and bipartition storms.  It
+    is the only fault surface of a cluster run
+    ([Cluster.params.script]).  Scripts validate, print to and parse
+    from a compact one-line text format (so a failing fuzzer seed
+    becomes a copy-pasteable repro), and shrink for failure
+    minimization:
 
     {v @120 partition r0,r1/r2,r3,r4; @180 heal; storm mean=150 v}
 
@@ -25,18 +27,16 @@ type action =
   | Pause_shard of int  (** crash every replica of the shard *)
   | Resume_shard of int  (** recover every replica of the shard *)
   | Kill_shard of int
-      (** crash every replica of the shard for good (the legacy
-          [shard_kill] nemesis) *)
+      (** crash every replica of the shard for good *)
 
 type step =
   | At of float * action  (** fire the action at this virtual time *)
   | Bipartition_storm of { mean : float; cycles : int }
-      (** the legacy [partitions] nemesis: every ~[mean] time units cut
-          the replicas along a random bipartition, heal half a period
-          later, for [cycles] cycles; seeded from the run seed *)
+      (** every ~[mean] time units cut the replicas along a random
+          bipartition, heal half a period later, for [cycles] cycles;
+          seeded from the run seed *)
   | Crash_storm of Sim.Failure.spec
-      (** the legacy [failures] nemesis: exponential crash/recover
-          processes on every replica *)
+      (** exponential crash/recover processes on every replica *)
 
 type t = step list
 
@@ -54,23 +54,7 @@ val validate : t -> (unit, string) result
     partition sides, probabilities in range, legal node names. *)
 
 val of_partitions : float -> t
-(** The legacy [partitions = Some mean] knob as a script. *)
-
-val of_failures : Sim.Failure.spec -> t
-(** The legacy [failures = Some spec] knob as a script. *)
-
-val of_shard_kill : int * float -> t
-(** The legacy [shard_kill = Some (shard, at)] knob as a script. *)
-
-val of_legacy :
-  ?failures:Sim.Failure.spec ->
-  ?partitions:float ->
-  ?shard_kill:int * float ->
-  unit ->
-  t
-(** All three legacy knobs, compiled in the order the pre-script
-    cluster installed them (failures, partitions, shard kill) — the
-    order byte-identical replay depends on. *)
+(** A bipartition storm with this mean period, bounded at 64 cycles. *)
 
 val disruptive : action -> bool
 (** Does the action introduce a fault (as opposed to repairing one)? *)

@@ -1,6 +1,7 @@
 (** Wiring: build a complete simulated cluster — replicas, clients,
-    network, failure injectors — run a workload, and collect metrics
-    plus a consistency audit.
+    network — hand it to small drivers (the closed-loop op driver or
+    the transaction driver, the health sampler, the tuner, the fault
+    script), run it, and collect metrics plus a consistency audit.
 
     The audit exploits the single-writer-per-key discipline of
     {!Workload}: per key, completed writes carry strictly increasing
@@ -15,12 +16,9 @@
     lives in {!Harness.Check} so nemesis tests and the seed swarm
     share it.
 
-    Fault injection goes through the {!Harness.Script} DSL: the
-    [failures]/[partitions]/[shard_kill] params are thin legacy
-    constructors compiled onto the script ({!Harness.Script.of_legacy})
-    and interpreted by {!Harness.Run} — byte-identically to the old
-    inline nemesis code — and [script] appends arbitrary scripted
-    steps on top.
+    The [script] param is the only fault surface: crash storms,
+    bipartition storms, shard kills and every timed fault are
+    {!Harness.Script} steps, interpreted by {!Harness.Run}.
 
     Each client is a {!Router} over [n_shards] replica groups of
     [n_replicas] each.  The defaults — one shard, no batching, burst 1
@@ -39,22 +37,15 @@ type params = {
   latency : Net.latency;
   loss : float;
   timeout : float;
-  failures : Sim.Failure.spec option;  (** applied to every replica *)
   targeting : Client.targeting;
   policy : Rpc.Policy.t;
       (** per-request retry/backoff/hedging policy of every client *)
-  partitions : float option;
-      (** nemesis: every ~[mean] time units, cut the replica set along
-          a random bipartition (clients stay connected to one random
-          side), heal it half a period later — operations may fail but
-          the audit must stay clean (quorum intersection at work) *)
   seed : int;
   trace_capacity : int;
-      (** ring-buffer size of the run's tracer; 0 disables tracing *)
-  tracer : Obs.Trace.t option;
-      (** use this tracer instead of creating one — e.g. to collect
-          several runs, or a cluster run plus an IOA run, in one
-          trace; overrides [trace_capacity] *)
+      (** ring-buffer size of the run's tracer; 0 disables tracing.
+          The tracer comes back as [results.trace], so a caller can
+          keep collecting into it (e.g. an IOA run after the cluster
+          run) *)
   n_shards : int;
       (** replica groups the keyspace is split across (default 1 — the
           historical single-group cluster) *)
@@ -63,11 +54,6 @@ type params = {
       (** multi-key batching window of every client engine; [None]
           (default) sends every request unbatched, byte-identically to
           historical runs *)
-  shard_kill : (int * float) option;
-      (** targeted-failure nemesis: crash every replica of shard [s]
-          at time [at] for the rest of the run — the blast-radius
-          experiment (only the killed shard's keys become
-          unavailable) *)
   storage_cost : float;
       (** per-write latency of every replica's storage device; with
           [fsync_cost] both zero (the default) no device is attached
@@ -91,10 +77,9 @@ type params = {
           sample it every half-window while the workload runs; [None]
           (default) attaches nothing and schedules nothing *)
   script : Harness.Script.t;
-      (** scripted fault schedule installed on top of the legacy
-          nemesis knobs (which compile onto the same interpreter);
-          times are relative to the run start.  [[]] (default) adds
-          nothing — byte-identical runs *)
+      (** the run's fault schedule — the only way to inject faults;
+          times are relative to the run start.  [[]] (default) injects
+          nothing *)
   txns : txn_spec option;
       (** run a cross-shard transaction workload instead of the
           single-key op loop: each client issues multi-key
@@ -151,17 +136,13 @@ let default_params =
     latency = Net.lognormal_latency ~mu:1.0 ~sigma:0.5;
     loss = 0.0;
     timeout = 100.0;
-    failures = None;
     targeting = `Broadcast;
     policy = Rpc.Policy.default;
-    partitions = None;
     seed = 42;
     trace_capacity = 0;
-    tracer = None;
     n_shards = 1;
     shard_scheme = `Hash;
     batch_window = None;
-    shard_kill = None;
     storage_cost = 0.0;
     fsync_cost = 0.0;
     group_commit = true;
@@ -259,16 +240,394 @@ let availability r =
   let ok = r.ok_reads + r.ok_writes and bad = r.failed_reads + r.failed_writes in
   if ok + bad = 0 then nan else float_of_int ok /. float_of_int (ok + bad)
 
+(* ---------- the drivers ---------- *)
+
+(* What the drivers share: the simulation, the workload's draw stream
+   and the run's tallies, which [run] reads back into {!results}. *)
+type ctx = {
+  p : params;
+  sim : Core.t;
+  wrng : Prng.t;  (* every workload draw: think times, ops, footprints *)
+  zipf : Workload.zipf;
+  shard_of : string -> int;
+  total : int;  (* workload units (ops or txns) the clients issue *)
+  health : Obs.Health.t option;
+  audit : Harness.Check.audit;
+  txn_audit : Harness.Check.txn_audit;
+  read_lat : Sim.Stats.t;
+  write_lat : Sim.Stats.t;
+  txn_lat : Sim.Stats.t;
+  mutable ok_reads : int;
+  mutable failed_reads : int;
+  mutable ok_writes : int;
+  mutable failed_writes : int;
+  mutable ok_txns : int;
+  mutable failed_txns : int;
+  shard_ok : int array;
+  shard_failed : int array;
+  shard_reads : int array;
+      (* per-shard read/write attempts — the live mix the optimizer
+         feeds on *)
+  shard_writes : int array;
+  mutable completed : int;
+      (* units finished for good (a retried txn counts once) — when it
+         reaches [total] the health sampler and the optimizer stop, so
+         the event queue drains *)
+  mutable completions : (float * bool) list;  (* newest first *)
+  mutable health_samples : Obs.Health.snapshot list;  (* newest first *)
+  mutable switches : (float * int * string) list;  (* newest first *)
+}
+
+let create_ctx p sim ~health =
+  {
+    p;
+    sim;
+    wrng = Prng.create (p.seed lxor 0xabcdef);
+    zipf =
+      Workload.zipf ~n:p.workload.Workload.n_keys
+        ~s:p.workload.Workload.zipf_s;
+    shard_of =
+      Router.shard_fn p.shard_scheme ~n_shards:p.n_shards
+        ~n_keys:p.workload.Workload.n_keys;
+    total =
+      p.n_clients
+      * (match p.txns with
+        | None -> p.workload.Workload.ops_per_client
+        | Some spec -> spec.txns_per_client);
+    health;
+    audit = Harness.Check.audit ();
+    txn_audit = Harness.Check.txn_audit ();
+    read_lat = Sim.Stats.create ();
+    write_lat = Sim.Stats.create ();
+    txn_lat = Sim.Stats.create ();
+    ok_reads = 0;
+    failed_reads = 0;
+    ok_writes = 0;
+    failed_writes = 0;
+    ok_txns = 0;
+    failed_txns = 0;
+    shard_ok = Array.make p.n_shards 0;
+    shard_failed = Array.make p.n_shards 0;
+    shard_reads = Array.make p.n_shards 0;
+    shard_writes = Array.make p.n_shards 0;
+    completed = 0;
+    completions = [];
+    health_samples = [];
+    switches = [];
+  }
+
+(* The one completion handler of a single-key op: tallies, health feed
+   and completion log. *)
+let op_done cx ~shard ~read ~ok ~latency =
+  let bump a = a.(shard) <- a.(shard) + 1 in
+  bump (if read then cx.shard_reads else cx.shard_writes);
+  (match cx.health with
+  | Some h -> Obs.Health.record h ~at:(Core.now cx.sim) ~shard ~read ~ok ~latency
+  | None -> ());
+  if ok then begin
+    bump cx.shard_ok;
+    if read then cx.ok_reads <- cx.ok_reads + 1
+    else cx.ok_writes <- cx.ok_writes + 1;
+    Sim.Stats.add (if read then cx.read_lat else cx.write_lat) latency
+  end
+  else begin
+    bump cx.shard_failed;
+    if read then cx.failed_reads <- cx.failed_reads + 1
+    else cx.failed_writes <- cx.failed_writes + 1
+  end;
+  cx.completions <- (Core.now cx.sim, ok) :: cx.completions;
+  cx.completed <- cx.completed + 1
+
+(* Issue one single-key op; [k] continues the client's loop.  Reads and
+   writes differ only in their audit call. *)
+let run_op cx (c : Router.t) (op : Workload.op) ~k =
+  match op with
+  | Read key ->
+      let started = Core.now cx.sim in
+      Router.read c ~key ~on_done:(fun ~ok ~vn ~value ~latency ->
+          op_done cx ~shard:(cx.shard_of key) ~read:true ~ok ~latency;
+          if ok then Harness.Check.read_ok cx.audit ~key ~started ~vn ~value;
+          k ())
+  | Write (key, v) ->
+      Router.write c ~key ~value:v ~on_done:(fun ~ok ~vn ~value:_ ~latency ->
+          op_done cx ~shard:(cx.shard_of key) ~read:false ~ok ~latency;
+          if ok then
+            Harness.Check.write_ok cx.audit ~key ~vn ~value:v
+              ~now:(Core.now cx.sim);
+          k ())
+
+(* Single-writer-per-key holds between bursts but not within one: a
+   repeat write to the same key inside a burst becomes a read, so
+   concurrent same-key writes never race. *)
+let demote_repeat_writes ops =
+  let seen = Hashtbl.create 4 in
+  List.map
+    (function
+      | Workload.Write (key, _) when Hashtbl.mem seen key -> Workload.Read key
+      | Workload.Write (key, _) as op ->
+          Hashtbl.replace seen key ();
+          op
+      | op -> op)
+    ops
+
+(* The closed-loop op driver, one loop per client: think, then issue
+   [burst] ops concurrently and wait for the whole burst. *)
+let drive_ops cx clients =
+  let w = cx.p.workload in
+  let burst = max 1 w.Workload.burst in
+  let rec issue ci c remaining op_counter =
+    if remaining > 0 then
+      let think = Prng.exponential cx.wrng ~mean:w.Workload.think_time in
+      Core.schedule cx.sim ~delay:think (fun () ->
+          let b = min burst remaining in
+          let ops =
+            List.init b (fun j ->
+                Workload.next_op w cx.zipf cx.wrng ~ci ~n_clients:cx.p.n_clients
+                  ~op_counter:(op_counter + j))
+          in
+          let outstanding = ref b in
+          let k () =
+            decr outstanding;
+            if !outstanding = 0 then issue ci c (remaining - b) (op_counter + b)
+          in
+          List.iter (fun op -> run_op cx c op ~k) (demote_repeat_writes ops))
+  in
+  List.iteri (fun ci c -> issue ci c w.Workload.ops_per_client ci) clients
+
+(* A footprint of [n] distinct Zipf-drawn keys (bounded redraws). *)
+let footprint cx n =
+  let keys = ref [] and have = ref 0 and tries = ref 0 in
+  while !have < n && !tries < 100 * n do
+    incr tries;
+    let k = Workload.key_name (Workload.sample cx.zipf cx.wrng) in
+    if not (List.exists (String.equal k) !keys) then begin
+      keys := k :: !keys;
+      incr have
+    end
+  done;
+  List.rev !keys
+
+(* The transaction driver: a closed loop per client issuing multi-key
+   transactions through a coordinator, with bounded retries (each a
+   fresh txid) spaced by think-time draws. *)
+let drive_txns cx clients spec =
+  if spec.keys_per_txn < 1 then
+    invalid_arg "Cluster.run: keys_per_txn must be >= 1";
+  let sim = cx.sim in
+  let think () =
+    Prng.exponential cx.wrng ~mean:cx.p.workload.Workload.think_time
+  in
+  let n_reads =
+    int_of_float (spec.txn_read_fraction *. float_of_int spec.keys_per_txn)
+  in
+  List.iteri
+    (fun ci c ->
+      let coord =
+        Txn.create
+          ~name:(Fmt.str "c%d" ci)
+          ~sim ~router:c ~mode:spec.commit_mode ~timeout:spec.txn_timeout ()
+      in
+      let rec next remaining =
+        if remaining > 0 then
+          Core.schedule sim ~delay:(think ()) (fun () ->
+              let keys = footprint cx spec.keys_per_txn in
+              let reads = List.filteri (fun i _ -> i < n_reads) keys in
+              let txn_no = spec.txns_per_client - remaining in
+              let writes =
+                List.filteri (fun i _ -> i >= n_reads) keys
+                |> List.mapi (fun j k ->
+                       (k, ((ci + 1) * 1_000_000) + (txn_no * 1000) + j))
+              in
+              let finish () =
+                cx.completed <- cx.completed + 1;
+                next (remaining - 1)
+              in
+              let rec attempt retries_left =
+                let started = Core.now sim in
+                (* the footprint is nonempty, so on_done fires from a
+                   scheduled reply or timeout — never inside execute —
+                   and the txid cell is filled before it runs *)
+                let txid = ref "" in
+                txid :=
+                  Txn.execute coord ~reads ~writes
+                    ~on_done:(fun ~committed ~reads:rsnap ~writes:wset
+                                  ~latency ->
+                      cx.completions <-
+                        (Core.now sim, committed) :: cx.completions;
+                      if committed then begin
+                        cx.ok_txns <- cx.ok_txns + 1;
+                        Sim.Stats.add cx.txn_lat latency;
+                        Harness.Check.txn_committed cx.txn_audit ~txid:!txid
+                          ~started ~now:(Core.now sim) ~reads:rsnap
+                          ~writes:wset;
+                        finish ()
+                      end
+                      else if retries_left > 0 then
+                        Core.schedule sim ~delay:(think ()) (fun () ->
+                            attempt (retries_left - 1))
+                      else begin
+                        cx.failed_txns <- cx.failed_txns + 1;
+                        finish ()
+                      end)
+                    ()
+              in
+              attempt spec.txn_retries)
+      in
+      next spec.txns_per_client)
+    clients
+
+(* The health sampler: every half-window until the workload has
+   completed. *)
+let sample_health cx h =
+  let period = Obs.Health.window h /. 2.0 in
+  let rec tick () =
+    Core.schedule cx.sim ~delay:period (fun () ->
+        let snaps = Obs.Health.sample h ~at:(Core.now cx.sim) in
+        cx.health_samples <- List.rev_append snaps cx.health_samples;
+        if cx.completed < cx.total then tick ())
+  in
+  if cx.total > 0 then tick ()
+
+(* ---------- the tuner ---------- *)
+
+let set_shard_strategy clients s st =
+  List.iter (fun c -> Router.set_strategy c ~shard:s st) clients
+
+(* Re-strategize shard [s]: move every client to the joint strategy
+   (quorums of both old and new — reads still cover data at rest,
+   writes already land on new-strategy quorums), migrate each of the
+   shard's keys by reading its newest version and re-installing it at a
+   joint write quorum, then — after the op deadline has fenced out
+   anything issued under the old strategy — commit the new one.  Any
+   migration failure aborts back to the old strategy, which joint
+   quorums also satisfy. *)
+let restrategize cx ~clients ~strategies ~transitioning s next_s =
+  let current = strategies.(s) in
+  let j = Autotune.joint current next_s in
+  if Strategy.legal j then begin
+    let sim = cx.sim and migrator = List.hd clients in
+    transitioning.(s) <- true;
+    let started = Core.now sim in
+    set_shard_strategy clients s j;
+    let keys =
+      List.init cx.p.workload.Workload.n_keys Workload.key_name
+      |> List.filter (fun k -> cx.shard_of k = s)
+    in
+    let pending = ref (List.length keys) and failed = ref false in
+    let commit () =
+      let fence = started +. cx.p.timeout -. Core.now sim in
+      Core.schedule sim ~delay:(Float.max 0.0 fence) (fun () ->
+          set_shard_strategy clients s next_s;
+          strategies.(s) <- next_s;
+          cx.switches <- (Core.now sim, s, next_s.Strategy.name) :: cx.switches;
+          transitioning.(s) <- false)
+    in
+    let key_done () =
+      decr pending;
+      if !pending = 0 then
+        if !failed then begin
+          set_shard_strategy clients s current;
+          transitioning.(s) <- false
+        end
+        else commit ()
+    in
+    if keys = [] then commit ()
+    else
+      List.iter
+        (fun key ->
+          Router.read migrator ~key ~on_done:(fun ~ok ~vn ~value ~latency:_ ->
+              if not ok then begin
+                failed := true;
+                key_done ()
+              end
+              else if vn = 0 then key_done ()
+              else
+                Router.install migrator ~key ~vn ~value
+                  ~on_done:(fun ~ok ~vn:_ ~value:_ ~latency:_ ->
+                    if not ok then failed := true;
+                    key_done ())))
+        keys
+  end
+
+(* The periodic optimizer: every epoch while the workload runs, ask
+   {!Autotune.choose} for each idle shard's best strategy under the
+   shard's live read/write mix and latency EWMAs, and re-strategize the
+   shard when that is a different one. *)
+let optimize cx spec ~clients ~strategies ~ewmas =
+  let config =
+    {
+      Tune.Model.w_load = spec.w_load;
+      w_latency = spec.w_latency;
+      min_read_availability = spec.min_read_avail;
+      min_write_availability = spec.min_write_avail;
+    }
+  in
+  let transitioning = Array.make cx.p.n_shards false in
+  let read_fraction s =
+    let reads = cx.shard_reads.(s) and writes = cx.shard_writes.(s) in
+    if reads + writes = 0 then cx.p.workload.Workload.read_fraction
+    else float_of_int reads /. float_of_int (reads + writes)
+  in
+  let rec tick () =
+    Core.schedule cx.sim ~delay:spec.tune_epoch (fun () ->
+        if cx.completed < cx.total then begin
+          for s = 0 to cx.p.n_shards - 1 do
+            if not transitioning.(s) then
+              match
+                Autotune.choose ~config ~read_fraction:(read_fraction s)
+                  ~p_alive:spec.p_alive ~lat:(Tune.Ewma.value ewmas.(s))
+                  cx.p.n_replicas
+              with
+              | Some { Autotune.strategy = next_s; _ }
+                when Strategy.legal next_s
+                     && not
+                          (String.equal next_s.Strategy.name
+                             strategies.(s).Strategy.name) ->
+                  restrategize cx ~clients ~strategies ~transitioning s next_s
+              | _ -> ()
+          done;
+          tick ()
+        end)
+  in
+  if cx.total > 0 then tick ()
+
+(* Workload-aware quorum tuning (DESIGN.md §16): shared per-shard
+   latency trackers and queue probes on every shard client drive
+   queue-aware read steering, and on single-key workloads the periodic
+   optimizer re-strategizes shards. *)
+let tune cx spec ~clients ~replicas ~strategies =
+  if
+    not
+      (Float.is_finite spec.tune_epoch
+      && Float.compare spec.tune_epoch 0.0 > 0)
+  then invalid_arg "Cluster.run: tune_epoch must be positive";
+  let ewmas =
+    Array.init cx.p.n_shards (fun _ ->
+        Tune.Ewma.create ~n:cx.p.n_replicas ~alpha:spec.ewma_alpha ())
+  in
+  List.iter
+    (fun c ->
+      for s = 0 to cx.p.n_shards - 1 do
+        Router.set_probe c ~shard:s
+          (Some
+             {
+               Client.ewma = ewmas.(s);
+               queue_depth =
+                 (fun i -> float_of_int (Replica.queue_depth replicas.(s).(i)));
+               queue_weight = spec.queue_weight;
+               steer = spec.steer;
+             })
+      done)
+    clients;
+  if Option.is_none cx.p.txns && spec.optimize && cx.p.n_clients > 0 then
+    optimize cx spec ~clients ~strategies ~ewmas
+
+(* ---------- the run ---------- *)
+
 let run (p : params) : results =
   if p.n_shards < 1 then invalid_arg "Cluster.run: n_shards must be >= 1";
   let sim = Core.create ~seed:p.seed in
-  let tracer =
-    match p.tracer with
-    | Some tr -> tr
-    | None ->
-        Obs.Trace.create ~capacity:p.trace_capacity
-          ~enabled:(p.trace_capacity > 0) ()
-  in
+  let tracer = Obs.Trace.create ~capacity:p.trace_capacity () in
   Core.attach_tracer sim tracer;
   let metrics = Obs.Metrics.create () in
   (* one shard keeps the historical flat names (and seeded runs
@@ -295,8 +654,7 @@ let run (p : params) : results =
     Array.mapi
       (fun s group ->
         let extra_labels =
-          if p.n_shards = 1 then []
-          else [ ("shard", string_of_int s) ]
+          if p.n_shards = 1 then [] else [ ("shard", string_of_int s) ]
         in
         Array.map
           (fun name ->
@@ -315,24 +673,15 @@ let run (p : params) : results =
           group)
       group_names
   in
-  Array.iter (Array.iter (fun r -> Replica.attach r ~net)) replicas;
-  let strategy = p.strategy p.n_replicas in
-  let strategies = Array.make p.n_shards strategy in
-  let shard_of =
-    Router.shard_fn p.shard_scheme ~n_shards:p.n_shards
-      ~n_keys:p.workload.Workload.n_keys
-  in
-  let read_lat = Sim.Stats.create () and write_lat = Sim.Stats.create () in
-  let ok_reads = ref 0 and failed_reads = ref 0 in
-  let ok_writes = ref 0 and failed_writes = ref 0 in
+  let all_replicas = Array.to_list replicas |> List.concat_map Array.to_list in
+  List.iter (fun r -> Replica.attach r ~net) all_replicas;
+  let strategies = Array.make p.n_shards (p.strategy p.n_replicas) in
   (* the health monitor, when asked for: per-shard rolling windows fed
      by every completed operation, with the apply-queue probe averaging
      over the shard's replicas *)
-  let health_samples = ref [] in
   let health =
-    match p.health_window with
-    | None -> None
-    | Some w ->
+    Option.map
+      (fun window ->
         let queue_depth s =
           let g = replicas.(s) in
           let total =
@@ -340,415 +689,40 @@ let run (p : params) : results =
           in
           float_of_int total /. float_of_int (Array.length g)
         in
-        let h = Obs.Health.create ~window:w ~n_shards:p.n_shards ~queue_depth () in
-        Obs.Health.subscribe h (fun snaps ->
-            health_samples := List.rev_append snaps !health_samples);
-        Some h
+        Obs.Health.create ~window ~n_shards:p.n_shards ~queue_depth ())
+      p.health_window
   in
-  let health_record ~shard ~read ~ok ~latency =
-    match health with
-    | Some h ->
-        Obs.Health.record h ~at:(Core.now sim) ~shard ~read ~ok ~latency
-    | None -> ()
-  in
-  let shard_ok = Array.make p.n_shards 0 in
-  let shard_failed = Array.make p.n_shards 0 in
-  (* per-shard read/write attempt counts — the live mix estimate the
-     optimizer feeds on (cheap to keep unconditionally) *)
-  let shard_reads = Array.make p.n_shards 0 in
-  let shard_writes = Array.make p.n_shards 0 in
-  (* audit state (the shared single-writer state machine) plus the
-     completion log liveness predicates consume *)
-  let audit = Harness.Check.audit () in
-  let completions = ref [] in
-  (* the multi-key audit of transaction runs, fed by every replica's
-     decision hook (authoritative — covers commits whose coordinator
-     died) and by client-acked commits *)
-  let txn_audit = Harness.Check.txn_audit () in
-  let ok_txns = ref 0 and failed_txns = ref 0 in
-  let txn_lat = Sim.Stats.create () in
-  (match p.txns with
-  | None -> ()
-  | Some _ ->
-      Array.iter
-        (Array.iter (fun r ->
-             Replica.set_on_decided r (fun ~txid ~commit ~writes ->
-                 Harness.Check.txn_decided txn_audit ~txid ~commit ~writes)))
-        replicas);
-  let z = Workload.zipf ~n:p.workload.Workload.n_keys ~s:p.workload.Workload.zipf_s in
+  let cx = create_ctx p sim ~health in
+  (* transaction runs feed the multi-key audit from every replica's
+     decision hook (authoritative — it covers commits whose coordinator
+     died) as well as from client-acked commits *)
+  if Option.is_some p.txns then
+    List.iter
+      (fun r ->
+        Replica.set_on_decided r (fun ~txid ~commit ~writes ->
+            Harness.Check.txn_decided cx.txn_audit ~txid ~commit ~writes))
+      all_replicas;
   let clients =
     List.mapi
       (fun ci name ->
         let c =
           Router.create ~name ~sim ~net ~groups:group_names ~strategies
             ~scheme:p.shard_scheme ~n_keys:p.workload.Workload.n_keys
-            ~timeout:p.timeout ~targeting:p.targeting
-            ~trace_ctx:p.trace_ctx ~policy:p.policy
-            ~seed:(p.seed + ci) ~metrics ?batch_window:p.batch_window
-            ?adaptive_window:p.adaptive_window ()
+            ~timeout:p.timeout ~targeting:p.targeting ~trace_ctx:p.trace_ctx
+            ~policy:p.policy ~seed:(p.seed + ci) ~metrics
+            ?batch_window:p.batch_window ?adaptive_window:p.adaptive_window ()
         in
         Router.attach c;
-        (ci, c))
+        c)
       client_names
   in
-  let wrng = Prng.create (p.seed lxor 0xabcdef) in
-  (* one completed logical operation, with its audit bookkeeping;
-     [k] continues the client's loop *)
-  let run_read (c : Router.t) key ~k =
-    let started = Core.now sim in
-    Router.read c ~key ~on_done:(fun ~ok ~vn ~value ~latency ->
-        let s = shard_of key in
-        shard_reads.(s) <- shard_reads.(s) + 1;
-        health_record ~shard:s ~read:true ~ok ~latency;
-        if ok then begin
-          incr ok_reads;
-          shard_ok.(s) <- shard_ok.(s) + 1;
-          Sim.Stats.add read_lat latency;
-          Harness.Check.read_ok audit ~key ~started ~vn ~value
-        end
-        else begin
-          incr failed_reads;
-          shard_failed.(s) <- shard_failed.(s) + 1
-        end;
-        completions := (Core.now sim, ok) :: !completions;
-        k ())
-  in
-  let run_write (c : Router.t) key v ~k =
-    Router.write c ~key ~value:v ~on_done:(fun ~ok ~vn ~value:_ ~latency ->
-        let s = shard_of key in
-        shard_writes.(s) <- shard_writes.(s) + 1;
-        health_record ~shard:s ~read:false ~ok ~latency;
-        if ok then begin
-          incr ok_writes;
-          shard_ok.(s) <- shard_ok.(s) + 1;
-          Sim.Stats.add write_lat latency;
-          Harness.Check.write_ok audit ~key ~vn ~value:v ~now:(Core.now sim)
-        end
-        else begin
-          incr failed_writes;
-          shard_failed.(s) <- shard_failed.(s) + 1
-        end;
-        completions := (Core.now sim, ok) :: !completions;
-        k ())
-  in
-  (* closed-loop driver per client: think, then issue [burst]
-     operations concurrently and wait for the whole burst (burst 1 is
-     the historical strictly-closed loop, draw for draw) *)
-  let burst = max 1 p.workload.Workload.burst in
-  let rec issue ci (c : Router.t) remaining op_counter =
-    if remaining > 0 then
-      let think = Prng.exponential wrng ~mean:p.workload.Workload.think_time in
-      Core.schedule sim ~delay:think (fun () ->
-          if burst = 1 then
-            let k () = issue ci c (remaining - 1) (op_counter + 1) in
-            match
-              Workload.next_op p.workload z wrng ~ci ~n_clients:p.n_clients
-                ~op_counter
-            with
-            | Workload.Read key -> run_read c key ~k
-            | Workload.Write (key, v) -> run_write c key v ~k
-          else begin
-            let b = min burst remaining in
-            let ops =
-              List.init b (fun j ->
-                  Workload.next_op p.workload z wrng ~ci
-                    ~n_clients:p.n_clients ~op_counter:(op_counter + j))
-            in
-            (* single-writer-per-key holds between bursts but not
-               within one: demote a repeat write to the same key to a
-               read so concurrent same-key writes never race *)
-            let seen_writes = Hashtbl.create 4 in
-            let ops =
-              List.map
-                (function
-                  | Workload.Read _ as op -> op
-                  | Workload.Write (key, v) as op ->
-                      if Hashtbl.mem seen_writes key then Workload.Read key
-                      else begin
-                        Hashtbl.replace seen_writes key ();
-                        ignore v;
-                        op
-                      end)
-                ops
-            in
-            let outstanding = ref b in
-            let k () =
-              decr outstanding;
-              if !outstanding = 0 then issue ci c (remaining - b) (op_counter + b)
-            in
-            List.iter
-              (function
-                | Workload.Read key -> run_read c key ~k
-                | Workload.Write (key, v) -> run_write c key v ~k)
-              ops
-          end)
-  in
-  (* the transaction driver: a closed loop per client issuing
-     multi-key transactions through a coordinator, with bounded
-     retries (each a fresh txid) spaced by think-time draws *)
-  let run_txns spec =
-    if spec.keys_per_txn < 1 then
-      invalid_arg "Cluster.run: keys_per_txn must be >= 1";
-    let n_reads =
-      int_of_float
-        (spec.txn_read_fraction *. float_of_int spec.keys_per_txn)
-    in
-    List.iter
-      (fun (ci, c) ->
-        let coord =
-          Txn.create
-            ~name:(Fmt.str "c%d" ci)
-            ~sim ~router:c ~mode:spec.commit_mode ~timeout:spec.txn_timeout
-            ()
-        in
-        let rec next remaining =
-          if remaining > 0 then
-            let think =
-              Prng.exponential wrng ~mean:p.workload.Workload.think_time
-            in
-            Core.schedule sim ~delay:think (fun () ->
-                (* a distinct-key Zipf footprint (bounded redraws) *)
-                let keys = ref [] and have = ref 0 and tries = ref 0 in
-                let cap = 100 * spec.keys_per_txn in
-                while !have < spec.keys_per_txn && !tries < cap do
-                  incr tries;
-                  let k = Workload.key_name (Workload.sample z wrng) in
-                  if not (List.exists (String.equal k) !keys) then begin
-                    keys := k :: !keys;
-                    incr have
-                  end
-                done;
-                let keys = List.rev !keys in
-                let reads = List.filteri (fun i _ -> i < n_reads) keys in
-                let wkeys = List.filteri (fun i _ -> i >= n_reads) keys in
-                let txn_no = spec.txns_per_client - remaining in
-                let writes =
-                  List.mapi
-                    (fun j k ->
-                      (k, ((ci + 1) * 1_000_000) + (txn_no * 1000) + j))
-                    wkeys
-                in
-                let rec attempt retries_left =
-                  let started = Core.now sim in
-                  (* the footprint is nonempty, so on_done fires from a
-                     scheduled reply or timeout — never inside execute —
-                     and the txid cell is filled before it runs *)
-                  let txid = ref "" in
-                  txid :=
-                    Txn.execute coord ~reads ~writes
-                      ~on_done:(fun ~committed ~reads:rsnap ~writes:wset
-                                    ~latency ->
-                        completions := (Core.now sim, committed) :: !completions;
-                        if committed then begin
-                          incr ok_txns;
-                          Sim.Stats.add txn_lat latency;
-                          Harness.Check.txn_committed txn_audit ~txid:!txid
-                            ~started ~now:(Core.now sim) ~reads:rsnap
-                            ~writes:wset;
-                          next (remaining - 1)
-                        end
-                        else if retries_left > 0 then
-                          Core.schedule sim
-                            ~delay:
-                              (Prng.exponential wrng
-                                 ~mean:p.workload.Workload.think_time)
-                            (fun () -> attempt (retries_left - 1))
-                        else begin
-                          incr failed_txns;
-                          next (remaining - 1)
-                        end)
-                      ()
-                in
-                attempt spec.txn_retries)
-        in
-        next spec.txns_per_client)
-      clients
-  in
+  (* the drivers schedule their first events in this order — byte-
+     identical replay depends on it *)
   (match p.txns with
-  | None ->
-      List.iter
-        (fun (ci, c) -> issue ci c p.workload.Workload.ops_per_client ci)
-        clients
-  | Some spec -> run_txns spec);
-  (* the health sampler: every half-window until the workload has
-     completed, so the event queue still drains *)
-  (match health with
-  | Some h ->
-      let total =
-        match p.txns with
-        | None -> p.n_clients * p.workload.Workload.ops_per_client
-        | Some spec -> p.n_clients * spec.txns_per_client
-      in
-      let period = Obs.Health.window h /. 2.0 in
-      let completed () =
-        match p.txns with
-        | None -> !ok_reads + !failed_reads + !ok_writes + !failed_writes
-        | Some _ -> !ok_txns + !failed_txns
-      in
-      let rec tick () =
-        Core.schedule sim ~delay:period (fun () ->
-            ignore (Obs.Health.sample h ~at:(Core.now sim));
-            if completed () < total then tick ())
-      in
-      if total > 0 then tick ()
-  | None -> ());
-  (* workload-aware quorum tuning: shared per-shard latency trackers
-     and queue probes on every shard client (queue-aware read
-     steering), plus — on single-key workloads — a periodic optimizer
-     that re-strategizes shards through a joint-strategy transition
-     with key migration, then a deadline-length fence before the new
-     quorums activate (DESIGN.md §16) *)
-  let strategy_switches = ref [] in
-  (match p.tune with
-  | None -> ()
-  | Some spec ->
-      if
-        not
-          (Float.is_finite spec.tune_epoch
-          && Float.compare spec.tune_epoch 0.0 > 0)
-      then invalid_arg "Cluster.run: tune_epoch must be positive";
-      let ewmas =
-        Array.init p.n_shards (fun _ ->
-            Tune.Ewma.create ~n:p.n_replicas ~alpha:spec.ewma_alpha ())
-      in
-      List.iter
-        (fun (_, c) ->
-          for s = 0 to p.n_shards - 1 do
-            Router.set_probe c ~shard:s
-              (Some
-                 {
-                   Client.ewma = ewmas.(s);
-                   queue_depth =
-                     (fun i ->
-                       float_of_int (Replica.queue_depth replicas.(s).(i)));
-                   queue_weight = spec.queue_weight;
-                   steer = spec.steer;
-                 })
-          done)
-        clients;
-      match p.txns with
-      | Some _ -> () (* the optimizer drives single-key workloads only *)
-      | None ->
-          if spec.optimize && p.n_clients > 0 then begin
-            let config =
-              {
-                Tune.Model.w_load = spec.w_load;
-                w_latency = spec.w_latency;
-                min_read_availability = spec.min_read_avail;
-                min_write_availability = spec.min_write_avail;
-              }
-            in
-            let total = p.n_clients * p.workload.Workload.ops_per_client in
-            let completed () =
-              !ok_reads + !failed_reads + !ok_writes + !failed_writes
-            in
-            let all_keys =
-              List.init p.workload.Workload.n_keys Workload.key_name
-            in
-            let migrator = snd (List.hd clients) in
-            let transitioning = Array.make p.n_shards false in
-            let set_shard_strategy s st =
-              List.iter
-                (fun (_, c) -> Router.set_strategy c ~shard:s st)
-                clients
-            in
-            (* Re-strategize shard [s]: move every client to the joint
-               strategy (quorums of both old and new — reads still
-               cover data at rest, writes already land on new-strategy
-               quorums), migrate each of the shard's keys by reading
-               its newest version and re-installing it at a joint
-               write quorum, then — after the op deadline has fenced
-               out anything issued under the old strategy — commit the
-               new one.  Any migration failure aborts back to the old
-               strategy, which joint quorums also satisfy. *)
-            let begin_transition s next_s =
-              let current = strategies.(s) in
-              let j = Autotune.joint current next_s in
-              if Strategy.legal j then begin
-                transitioning.(s) <- true;
-                let started = Core.now sim in
-                set_shard_strategy s j;
-                let keys = List.filter (fun k -> shard_of k = s) all_keys in
-                let pending = ref (List.length keys) in
-                let failed = ref false in
-                let commit () =
-                  let fence = started +. p.timeout -. Core.now sim in
-                  Core.schedule sim ~delay:(Float.max 0.0 fence) (fun () ->
-                      set_shard_strategy s next_s;
-                      strategies.(s) <- next_s;
-                      strategy_switches :=
-                        (Core.now sim, s, next_s.Strategy.name)
-                        :: !strategy_switches;
-                      transitioning.(s) <- false)
-                in
-                let abort () =
-                  set_shard_strategy s current;
-                  transitioning.(s) <- false
-                in
-                let key_done () =
-                  decr pending;
-                  if !pending = 0 then if !failed then abort () else commit ()
-                in
-                if keys = [] then commit ()
-                else
-                  List.iter
-                    (fun key ->
-                      Router.read migrator ~key
-                        ~on_done:(fun ~ok ~vn ~value ~latency:_ ->
-                          if not ok then begin
-                            failed := true;
-                            key_done ()
-                          end
-                          else if vn = 0 then key_done ()
-                          else
-                            Router.install migrator ~key ~vn ~value
-                              ~on_done:(fun ~ok ~vn:_ ~value:_ ~latency:_ ->
-                                if not ok then failed := true;
-                                key_done ())))
-                    keys
-              end
-            in
-            let rec tick () =
-              Core.schedule sim ~delay:spec.tune_epoch (fun () ->
-                  if completed () < total then begin
-                    for s = 0 to p.n_shards - 1 do
-                      if not transitioning.(s) then begin
-                        let reads = shard_reads.(s)
-                        and writes = shard_writes.(s) in
-                        let f =
-                          if reads + writes = 0 then
-                            p.workload.Workload.read_fraction
-                          else
-                            float_of_int reads /. float_of_int (reads + writes)
-                        in
-                        match
-                          Autotune.choose ~config ~read_fraction:f
-                            ~p_alive:spec.p_alive
-                            ~lat:(Tune.Ewma.value ewmas.(s))
-                            p.n_replicas
-                        with
-                        | Some { Autotune.strategy = next_s; _ }
-                          when Strategy.legal next_s
-                               && not
-                                    (String.equal next_s.Strategy.name
-                                       strategies.(s).Strategy.name) ->
-                            begin_transition s next_s
-                        | _ -> ()
-                      end
-                    done;
-                    tick ()
-                  end)
-            in
-            if total > 0 then tick ()
-          end);
-  (* fault injection: the legacy knobs compile onto the script DSL (in
-     the order the inline nemesis code installed them — failures,
-     partitions, shard kill — which byte-identical replay depends on)
-     and any extra scripted steps ride on top *)
-  (match p.shard_kill with
-  | Some (s, _) when s < 0 || s >= p.n_shards ->
-      invalid_arg (Fmt.str "Cluster.run: shard_kill shard %d out of range" s)
-  | _ -> ());
+  | None -> drive_ops cx clients
+  | Some spec -> drive_txns cx clients spec);
+  Option.iter (sample_health cx) health;
+  Option.iter (fun spec -> tune cx spec ~clients ~replicas ~strategies) p.tune;
   let env =
     {
       Harness.Run.sim;
@@ -758,74 +732,59 @@ let run (p : params) : results =
       seed = p.seed;
     }
   in
-  let script =
-    Harness.Script.of_legacy ?failures:p.failures ?partitions:p.partitions
-      ?shard_kill:p.shard_kill ()
-    @ p.script
-  in
-  ignore (Harness.Run.install env script : Sim.Failure.t list);
+  ignore (Harness.Run.install env p.script : Sim.Failure.t list);
   Core.run sim;
-  (* transaction epilogue: run the end-of-run multi-key checks and
-     collect the in-doubt (blocked) set across every replica *)
-  let blocked =
-    match p.txns with
-    | None -> []
-    | Some _ ->
-        Harness.Check.txn_check txn_audit;
-        Array.to_list replicas |> List.concat_map Array.to_list
-        |> List.concat_map Replica.in_doubt
-        |> List.sort_uniq String.compare
-  in
-  let shard_stats =
-    List.init p.n_shards (fun s ->
-        {
-          shard = s;
-          ok_ops = shard_ok.(s);
-          failed_ops = shard_failed.(s);
-          load =
-            Array.fold_left
-              (fun acc r -> acc + Replica.load r)
-              0
-              replicas.(s);
-        })
-  in
+  if Option.is_some p.txns then Harness.Check.txn_check cx.txn_audit;
+  let sum f = List.fold_left (fun acc r -> acc + f r) 0 all_replicas in
   {
-    reads = Sim.Stats.summarize read_lat;
-    writes = Sim.Stats.summarize write_lat;
-    ok_reads = !ok_reads;
-    failed_reads = !failed_reads;
-    ok_writes = !ok_writes;
-    failed_writes = !failed_writes;
+    reads = Sim.Stats.summarize cx.read_lat;
+    writes = Sim.Stats.summarize cx.write_lat;
+    ok_reads = cx.ok_reads;
+    failed_reads = cx.failed_reads;
+    ok_writes = cx.ok_writes;
+    failed_writes = cx.failed_writes;
     net = Net.counters net;
     replica_loads =
-      Array.to_list replicas |> List.concat_map Array.to_list
-      |> List.map (fun (r : Replica.t) -> (r.Replica.name, Replica.load r));
-    shards = shard_stats;
+      List.map
+        (fun (r : Replica.t) -> (r.Replica.name, Replica.load r))
+        all_replicas;
+    shards =
+      List.init p.n_shards (fun s ->
+          {
+            shard = s;
+            ok_ops = cx.shard_ok.(s);
+            failed_ops = cx.shard_failed.(s);
+            load =
+              Array.fold_left
+                (fun acc r -> acc + Replica.load r)
+                0 replicas.(s);
+          });
     audit_violations =
       (match p.txns with
-      | None -> Harness.Check.violations audit
-      | Some _ -> Harness.Check.txn_violations txn_audit);
+      | None -> Harness.Check.violations cx.audit
+      | Some _ -> Harness.Check.txn_violations cx.txn_audit);
     duration = Core.now sim;
     installs =
-      Array.to_list replicas |> List.concat_map Array.to_list
-      |> List.fold_left
-           (fun acc (r : Replica.t) -> acc + Obs.Metrics.value r.Replica.installs)
-           0;
-    fsyncs =
-      Array.to_list replicas |> List.concat_map Array.to_list
-      |> List.fold_left (fun acc r -> acc + Replica.fsyncs r) 0;
+      sum (fun (r : Replica.t) -> Obs.Metrics.value r.Replica.installs);
+    fsyncs = sum Replica.fsyncs;
     trace = tracer;
     metrics;
-    health = List.rev !health_samples;
-    completions = List.rev !completions;
-    txn_run = p.txns <> None;
-    ok_txns = !ok_txns;
-    failed_txns = !failed_txns;
-    txn_latency = Sim.Stats.summarize txn_lat;
-    blocked_txns = blocked;
-    decided_txns = Harness.Check.txn_decided_count txn_audit;
-    tune_run = p.tune <> None;
-    strategy_switches = List.rev !strategy_switches;
+    health = List.rev cx.health_samples;
+    completions = List.rev cx.completions;
+    txn_run = Option.is_some p.txns;
+    ok_txns = cx.ok_txns;
+    failed_txns = cx.failed_txns;
+    txn_latency = Sim.Stats.summarize cx.txn_lat;
+    (* txids still prepared-but-undecided at some replica: in doubt
+       forever *)
+    blocked_txns =
+      (if Option.is_none p.txns then []
+       else
+         List.concat_map Replica.in_doubt all_replicas
+         |> List.sort_uniq String.compare);
+    decided_txns = Harness.Check.txn_decided_count cx.txn_audit;
+    tune_run = Option.is_some p.tune;
+    strategy_switches = List.rev cx.switches;
     shard_strategies =
       Array.to_list
         (Array.map (fun (s : Strategy.t) -> s.Strategy.name) strategies);

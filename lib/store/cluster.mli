@@ -3,10 +3,8 @@
     consistency audit (single-writer-per-key: reads must return a
     version at least as new as the newest write completed before the
     read began, with the value written at that version; the state
-    machine is {!Harness.Check}).  Fault injection goes through the
-    {!Harness.Script} DSL: the legacy [failures]/[partitions]/
-    [shard_kill] knobs compile onto it byte-identically, and [script]
-    appends arbitrary scripted steps. *)
+    machine is {!Harness.Check}).  Faults are injected only through
+    the [script] param, a {!Harness.Script} schedule. *)
 
 module Prng = Qc_util.Prng
 module Core = Sim.Core
@@ -20,21 +18,16 @@ type params = {
   latency : Net.latency;
   loss : float;
   timeout : float;
-  failures : Sim.Failure.spec option;  (** applied to every replica *)
   targeting : Client.targeting;  (** broadcast vs targeted quorum sends *)
   policy : Rpc.Policy.t;
       (** per-request retry/backoff/hedging policy of every client;
           the default fire-once policy reproduces historical runs
           byte for byte *)
-  partitions : float option;
-      (** nemesis: cut the replica set along a random bipartition
-          roughly every [mean] time units (clients follow one side),
-          healing half a period later *)
   seed : int;
-  trace_capacity : int;  (** tracer ring size; 0 disables tracing *)
-  tracer : Obs.Trace.t option;
-      (** collect into this tracer instead of creating one (overrides
-          [trace_capacity]) *)
+  trace_capacity : int;
+      (** tracer ring size; 0 disables tracing.  The tracer is
+          returned as [results.trace], so callers can keep collecting
+          into it *)
   n_shards : int;
       (** replica groups the keyspace is split across (default 1 —
           the historical single-group cluster; byte-identical runs) *)
@@ -42,9 +35,6 @@ type params = {
   batch_window : float option;
       (** multi-key batching window of every client engine ([None] =
           off, the historical behaviour) *)
-  shard_kill : (int * float) option;
-      (** targeted-failure nemesis: crash every replica of shard [s]
-          at time [at] for the rest of the run *)
   storage_cost : float;
       (** per-write latency of every replica's storage device; with
           [fsync_cost] both zero (the default) no device is attached
@@ -67,9 +57,9 @@ type params = {
           sampled every half-window while the workload runs ([None] =
           none, the historical behaviour) *)
   script : Harness.Script.t;
-      (** scripted fault schedule installed on top of the legacy
-          nemesis knobs; times relative to the run start ([[]] =
-          nothing, byte-identical runs) *)
+      (** the run's fault schedule — the only way to inject faults
+          (crash and bipartition storms, shard kills, timed steps);
+          times relative to the run start ([[]] = no faults) *)
   txns : txn_spec option;
       (** run a cross-shard transaction workload through {!Txn}
           coordinators instead of the single-key op loop; the audit
@@ -179,6 +169,9 @@ val availability : results -> float
 (** Fraction of operations that succeeded. *)
 
 val run : params -> results
+(** @raise Invalid_argument on a bad param or a [script] that
+    {!Harness.Run.install} rejects (e.g. a shard index out of range),
+    before the run starts. *)
 
 val digest : results -> string
 (** A stable digest of the run's simulation outcome — latency

@@ -45,7 +45,8 @@ let availability_sweep ?(n = 5) ?(ps = [ 0.5; 0.7; 0.8; 0.9; 0.95; 0.99 ])
                 Cluster.default_params with
                 n_replicas = n;
                 strategy = (fun _ -> strat);
-                failures = Some { Sim.Failure.mtbf; mttr };
+                script =
+                  [ Harness.Script.Crash_storm { Sim.Failure.mtbf; mttr } ];
                 timeout = 60.0;
                 workload =
                   { Workload.default_spec with ops_per_client = 400; read_fraction = 0.5 };
@@ -577,8 +578,6 @@ let retry_policy_table ?(seed = 77) () : retry_row list =
         Rpc.Policy.with_hedge ~base:(Rpc.Policy.with_retries 2) 12.0 );
     ]
   in
-  (* the partition condition is the legacy storm expressed as a
-     harness script — identical code path, identical numbers *)
   let conditions =
     [
       ("loss 30%", 0.3, []);
@@ -708,7 +707,7 @@ let shard_table ?(seed = 91) ?(seeds = 1) () : shard_row list =
       (* range sharding puts the hot low ranks in shard 0 *)
       let kill_runs =
         List.map
-          (fun s -> mk n_shards s (Harness.Script.of_shard_kill (0, 500.0)))
+          (fun s -> mk n_shards s [ Harness.Script.At (500.0, Kill_shard 0) ])
           seed_list
       in
       let r = List.hd runs in
@@ -991,7 +990,6 @@ let attribution_table ?(seed = 42) () : attr_row list =
     (fun (loss_label, loss) ->
       List.map
         (fun (burst_label, burst) ->
-          let tracer = Obs.Trace.create ~capacity:262144 ~enabled:true () in
           let r =
             Cluster.run
               {
@@ -1000,7 +998,7 @@ let attribution_table ?(seed = 42) () : attr_row list =
                 n_clients = 4;
                 n_shards = 2;
                 loss;
-                tracer = Some tracer;
+                trace_capacity = 262144;
                 trace_ctx = true;
                 batch_window = Some 1.0;
                 storage_cost = 0.05;
@@ -1023,7 +1021,9 @@ let attribution_table ?(seed = 42) () : attr_row list =
                 seed;
               }
           in
-          let bs = Obs.Attribution.of_events (Obs.Trace.events tracer) in
+          let bs =
+            Obs.Attribution.of_events (Obs.Trace.events r.Cluster.trace)
+          in
           let n = List.length bs in
           let wall_mean =
             if n = 0 then nan

@@ -136,7 +136,7 @@ type shard_row = {
   min_availability : float;  (** worst seed (= mean with one seed) *)
   kill_availability : float;
       (** availability with the hottest shard crashed at t=500 (a
-          {!Harness.Script.of_shard_kill} script), mean over the seeds *)
+          [Kill_shard] script step), mean over the seeds *)
   min_kill_availability : float;  (** worst seed *)
 }
 

@@ -1,7 +1,7 @@
-(* The fault-schedule harness: byte-identical compilation of the
-   legacy nemesis knobs onto scripts (golden digests captured before
-   the refactor), the script DSL's round-trip/validate/shrink
-   contracts, per-link fault filters down in Sim.Net, externally
+(* The fault-schedule harness: byte-identical interpretation of the
+   storm and shard-kill steps (golden digests captured from the
+   pre-script nemesis code), the script DSL's round-trip/validate/
+   shrink contracts, per-link fault filters down in Sim.Net, externally
    driven failure injectors, and the seed-swarm fuzzer finding (and
    minimizing) a planted quorum bug. *)
 
@@ -13,47 +13,39 @@ module Script = Harness.Script
 let qcheck t =
   QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0x5eed |]) t
 
-(* ---------- golden digests: legacy knobs vs scripts ---------- *)
+(* ---------- golden digests of scripted nemeses ---------- *)
 
-(* One nemesis scenario, either through the legacy params or through
-   the equivalent script.  The shape matches the pre-refactor capture
+(* One nemesis scenario.  The shape matches the pre-refactor capture
    runs: 3 replicas/shard, 3 clients, range sharding, targeted
    quorums, retries + hedging. *)
-let scenario ~seed ~n_shards ~as_script ~partitions ~shard_kill () =
-  let p =
-    {
-      Store.Cluster.default_params with
-      n_replicas = 3;
-      n_clients = 3;
-      n_shards;
-      shard_scheme = `Range;
-      targeting = `Quorum;
-      policy = Rpc.Policy.with_hedge ~base:(Rpc.Policy.with_retries 2) 12.0;
-      workload =
-        {
-          Store.Workload.default_spec with
-          ops_per_client = 40;
-          read_fraction = 0.5;
-        };
-      seed;
-      trace_capacity = 262144;
-    }
-  in
-  let p =
-    if as_script then
+let scenario ~seed ~n_shards script =
+  let r =
+    Store.Cluster.run
       {
-        p with
-        script = Script.of_legacy ?partitions ?shard_kill ();
+        Store.Cluster.default_params with
+        n_replicas = 3;
+        n_clients = 3;
+        n_shards;
+        shard_scheme = `Range;
+        targeting = `Quorum;
+        policy = Rpc.Policy.with_hedge ~base:(Rpc.Policy.with_retries 2) 12.0;
+        workload =
+          {
+            Store.Workload.default_spec with
+            ops_per_client = 40;
+            read_fraction = 0.5;
+          };
+        seed;
+        trace_capacity = 262144;
+        script;
       }
-    else { p with partitions; shard_kill }
   in
-  let r = Store.Cluster.run p in
   let trace = Obs.Export.jsonl r.Store.Cluster.trace in
   (Store.Cluster.digest r, Digest.to_hex (Digest.string trace))
 
 (* Digest + trace-digest pairs captured from the pre-refactor inline
-   nemesis code.  Both the legacy params and the script expression of
-   the same schedule must reproduce them byte for byte. *)
+   nemesis code; the script expression of the same schedule must
+   reproduce them byte for byte. *)
 let partition_goldens =
   [
     (42, ("996422eaca9bdbce4098ccbbf4752aa2", "ce53a76fe9882f846050f3602482093e"));
@@ -71,34 +63,35 @@ let shard_kill_goldens =
 let test_partition_storm_goldens () =
   List.iter
     (fun (seed, expected) ->
-      List.iter
-        (fun as_script ->
-          let got =
-            scenario ~seed ~n_shards:1 ~as_script ~partitions:(Some 150.0)
-              ~shard_kill:None ()
-          in
-          Alcotest.(check (pair string string))
-            (Fmt.str "partitions seed %d (%s)" seed
-               (if as_script then "script" else "legacy"))
-            expected got)
-        [ false; true ])
+      Alcotest.(check (pair string string))
+        (Fmt.str "partitions seed %d" seed)
+        expected
+        (scenario ~seed ~n_shards:1 (Script.of_partitions 150.0)))
     partition_goldens
 
 let test_shard_kill_goldens () =
   List.iter
     (fun (seed, expected) ->
-      List.iter
-        (fun as_script ->
-          let got =
-            scenario ~seed ~n_shards:4 ~as_script ~partitions:None
-              ~shard_kill:(Some (0, 200.0)) ()
-          in
-          Alcotest.(check (pair string string))
-            (Fmt.str "shard_kill seed %d (%s)" seed
-               (if as_script then "script" else "legacy"))
-            expected got)
-        [ false; true ])
+      Alcotest.(check (pair string string))
+        (Fmt.str "shard_kill seed %d" seed)
+        expected
+        (scenario ~seed ~n_shards:4 [ Script.At (200.0, Script.Kill_shard 0) ]))
     shard_kill_goldens
+
+(* A shard index out of range is rejected when the script installs,
+   before the run starts. *)
+let test_shard_kill_out_of_range () =
+  let n_shards = 2 in
+  Alcotest.check_raises "shard n_shards"
+    (Invalid_argument "Harness.Run.install: shard 2 out of range") (fun () ->
+      ignore
+        (Store.Cluster.run
+           {
+             Store.Cluster.default_params with
+             n_replicas = 3;
+             n_shards;
+             script = [ Script.At (0.0, Script.Kill_shard n_shards) ];
+           }))
 
 (* The crash storm runs the simulation out to the injectors' horizon,
    so the cluster-level golden lives in the capture tool, not the
@@ -127,7 +120,7 @@ let test_crash_storm_equivalence () =
             clients = [];
             seed = 11;
           }
-          (Script.of_failures spec)
+          [ Script.Crash_storm spec ]
     in
     Core.run ~until:50_000.0 sim;
     ( List.map
@@ -232,7 +225,7 @@ let test_quiesces_at () =
     (Script.quiesces_at (Script.of_partitions 150.0));
   Alcotest.(check (option (float 1e-9)))
     "shard kill never settles" None
-    (Script.quiesces_at (Script.of_shard_kill (0, 200.0)))
+    (Script.quiesces_at [ Script.At (200.0, Script.Kill_shard 0) ])
 
 (* ---------- per-link fault filters in Sim.Net ---------- *)
 
@@ -533,10 +526,12 @@ let suites =
   [
     ( "harness.goldens",
       [
-        Alcotest.test_case "partition storm: legacy = script = golden" `Slow
+        Alcotest.test_case "partition storm: script = golden" `Slow
           test_partition_storm_goldens;
-        Alcotest.test_case "shard kill: legacy = script = golden" `Slow
+        Alcotest.test_case "shard kill: script = golden" `Slow
           test_shard_kill_goldens;
+        Alcotest.test_case "out-of-range shard kill rejected" `Quick
+          test_shard_kill_out_of_range;
         Alcotest.test_case "crash storm: legacy = script (sim level)" `Quick
           test_crash_storm_equivalence;
       ] );

@@ -308,7 +308,11 @@ let test_nemesis_drops_attributed () =
      are in the trace *)
   let r =
     Store.Cluster.run
-      { (traced_params 46) with partitions = Some 40.0; loss = 0.0 }
+      {
+        (traced_params 46) with
+        script = Harness.Script.of_partitions 40.0;
+        loss = 0.0;
+      }
   in
   let c = r.Store.Cluster.net in
   Alcotest.(check int) "no loss drops" 0 c.Sim.Net.drop_loss;
@@ -336,6 +340,28 @@ let test_cluster_metrics_registry () =
   Alcotest.(check int) "registry ops_ok = results ok count"
     (r.Store.Cluster.ok_reads + r.Store.Cluster.ok_writes)
     total_ok
+
+(* A cluster run's trace keeps collecting: the IOA drive after it
+   lands in the same ring.  The digest was pinned when clusters still
+   took a caller-made tracer, so handing [results.trace] on yields the
+   same trace byte for byte. *)
+let test_shared_trace () =
+  let r = Store.Cluster.run (traced_params 48) in
+  let tracer = r.Store.Cluster.trace in
+  (match Quorum.Harness.run_and_check ~max_steps:400 ~tracer ~seed:48 () with
+  | Ok _ -> ()
+  | Error e -> Alcotest.fail e);
+  let events = Trace.events tracer in
+  List.iter
+    (fun cat ->
+      Alcotest.(check bool)
+        (Fmt.str "%s layer in the shared trace" cat)
+        true
+        (Query.filter_events ~cat events <> []))
+    [ "store"; "ioa" ];
+  Alcotest.(check string)
+    "shared-trace JSONL digest" "6c6491679e7803a743afa9cc280916c7"
+    (Digest.to_hex (Digest.string (Export.jsonl tracer)))
 
 (* ---------- ioa wiring ---------- *)
 
@@ -434,6 +460,8 @@ let suites =
           test_nemesis_drops_attributed;
         Alcotest.test_case "metrics registry totals" `Quick
           test_cluster_metrics_registry;
+        Alcotest.test_case "cluster + ioa share one trace" `Quick
+          test_shared_trace;
       ] );
     ( "obs.ioa",
       [ Alcotest.test_case "action trail" `Quick test_ioa_action_trail ] );

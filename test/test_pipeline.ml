@@ -222,8 +222,9 @@ let prop_pipeline_nemesis_audit_clean =
             targeting = `Quorum;
             policy =
               Rpc.Policy.with_hedge ~base:(Rpc.Policy.with_retries 2) 12.0;
-            partitions = Some 150.0;
-            shard_kill = Some (0, 500.0);
+            script =
+              Harness.Script.(
+                of_partitions 150.0 @ [ At (500.0, Kill_shard 0) ]);
             storage_cost = 0.05;
             fsync_cost = 2.0;
             group_commit = true;

@@ -104,7 +104,7 @@ let test_zipf_skew () =
 let test_cluster_audit_clean () =
   (* across strategies, seeds, and failure regimes: zero violations *)
   List.iter
-    (fun (name, strat, failures) ->
+    (fun (name, strat, script) ->
       List.iter
         (fun seed ->
           let r =
@@ -112,7 +112,7 @@ let test_cluster_audit_clean () =
               {
                 Store.Cluster.default_params with
                 strategy = strat;
-                failures;
+                script;
                 seed;
                 workload =
                   { Store.Workload.default_spec with ops_per_client = 150 };
@@ -123,15 +123,19 @@ let test_cluster_audit_clean () =
             [] r.Store.Cluster.audit_violations)
         [ 1; 2; 3 ])
     [
-      ("majority", Store.Strategy.majority, None);
-      ("rowa", Store.Strategy.rowa, None);
-      ("grid", (fun _ -> Store.Strategy.grid ~rows:2 ~cols:3), None);
+      ("majority", Store.Strategy.majority, []);
+      ("rowa", Store.Strategy.rowa, []);
+      ("grid", (fun _ -> Store.Strategy.grid ~rows:2 ~cols:3), []);
       ( "majority+failures",
         Store.Strategy.majority,
-        Some { Sim.Failure.mtbf = 300.0; mttr = 60.0 } );
+        [
+          Harness.Script.Crash_storm { Sim.Failure.mtbf = 300.0; mttr = 60.0 };
+        ] );
       ( "rowa+failures",
         Store.Strategy.rowa,
-        Some { Sim.Failure.mtbf = 300.0; mttr = 60.0 } );
+        [
+          Harness.Script.Crash_storm { Sim.Failure.mtbf = 300.0; mttr = 60.0 };
+        ] );
     ]
 
 let test_cluster_grid_needs_matching_n () =
@@ -409,7 +413,7 @@ let test_partition_nemesis_consistency () =
               {
                 Store.Cluster.default_params with
                 strategy = strat;
-                partitions = Some 150.0;
+                script = Harness.Script.of_partitions 150.0;
                 timeout = 40.0;
                 workload =
                   { Store.Workload.default_spec with ops_per_client = 200 };
@@ -427,18 +431,19 @@ let test_partition_nemesis_consistency () =
     [ ("majority", Store.Strategy.majority); ("rowa", Store.Strategy.rowa) ]
 
 let test_partition_nemesis_hurts_availability () =
-  let run partitions =
+  let run script =
     Store.Cluster.availability
       (Store.Cluster.run
          {
            Store.Cluster.default_params with
-           partitions;
+           script;
            timeout = 40.0;
            workload = { Store.Workload.default_spec with ops_per_client = 200 };
            seed = 7;
          })
   in
-  let healthy = run None and partitioned = run (Some 150.0) in
+  let healthy = run []
+  and partitioned = run (Harness.Script.of_partitions 150.0) in
   Alcotest.(check bool)
     (Fmt.str "partitions reduce availability (%.3f < %.3f)" partitioned healthy)
     true

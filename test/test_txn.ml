@@ -245,7 +245,7 @@ let prop_txn_serializable_under_partitions =
       let p =
         {
           (txn_params ~mode ~seed ()) with
-          partitions = Some 60.0;
+          script = Harness.Script.of_partitions 60.0;
           loss = 0.02;
         }
       in
