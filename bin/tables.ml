@@ -1,816 +1,699 @@
 (* Regenerates every experiment table of DESIGN.md's index.
 
-   Usage:  tables.exe [COMMAND]
-   Commands: e5 (formal checks), availability, latency, crossover,
-   gifford, reconfig, theorem11, recon, all (default). *)
+   Usage:  tables.exe [COMMAND] [--seeds N]
+   Each entry of [entries] below is one command; with no command,
+   every entry runs in list order at its default seed count.  A table
+   may carry gates: the run exits 1 if any printed gate FAILED. *)
 
+module E = Store.Experiments
+
+(* ---------- sections, entries, and the one printer ---------- *)
+
+(* one titled table: column headers, rows of formatted cells, free
+   note lines printed under the rows, and (label, passed) gates *)
+type section = {
+  title : string;
+  columns : string list;
+  rows : string list list;
+  notes : string list;
+  gates : (string * bool) list;
+}
+
+let section ?(notes = []) ?(gates = []) title columns rows =
+  { title; columns; rows; notes; gates }
+
+(* [seeds = Some d]: the command takes [--seeds], default [d], and
+   [run] gets its value; otherwise [run]'s argument is unused *)
+type entry = {
+  name : string;
+  doc : string;
+  seeds : int option;
+  run : int -> section list;
+}
+
+let fixed name doc run =
+  { name; doc; seeds = None; run = (fun _ -> [ run () ]) }
+let seeded name doc default run = { name; doc; seeds = Some default; run }
 let bar = String.make 78 '-'
 
-let header title =
-  Fmt.pr "@.%s@.%s@.%s@." bar title bar
+let print_section s =
+  Fmt.pr "@.%s@.%s@.%s@." bar s.title bar;
+  List.iter (Fmt.pr "%s@.") (Table.lines ~header:s.columns s.rows @ s.notes);
+  List.iter
+    (fun (label, ok) ->
+      Fmt.pr "gate %s: %s@." label (if ok then "ok" else "FAILED"))
+    s.gates
+
+(* runs and prints each entry in turn; 1 if any gate failed *)
+let report runs =
+  List.fold_left
+    (fun code (e, seeds) ->
+      let sections = e.run seeds in
+      List.iter print_section sections;
+      if List.for_all (fun s -> List.for_all snd s.gates) sections then code
+      else 1)
+    0 runs
+
+(* cell formatting *)
+let d = string_of_int
+let f digits x = Printf.sprintf "%.*f" digits x
+let audit clean = if clean then "clean" else "DIRTY"
+let votes vs = String.concat "," (List.map string_of_int vs)
 
 (* ---------- formal results (E5-E12): seeds x checks ---------- *)
 
-let formal_table seeds =
-  header
-    (Fmt.str
-       "E5-E10: Lemmas 5-8 + Theorem 10 on %d random replicated serial systems"
-       seeds);
-  Fmt.pr "%-8s %-8s %-10s %-8s %-10s@." "seed" "steps" "quiescent" "items"
-    "verdict";
-  let failures = ref 0 in
-  for seed = 1 to seeds do
-    match Quorum.Harness.run_and_check ~seed () with
-    | Ok r ->
-        if seed <= 10 || seed mod 25 = 0 then
-          Fmt.pr "%-8d %-8d %-10b %-8d %-10s@." seed r.Quorum.Harness.steps
-            r.quiescent r.items "OK"
-    | Error e ->
-        incr failures;
-        Fmt.pr "%-8d %-38s@." seed e
-  done;
-  Fmt.pr "...@.TOTAL: %d/%d runs pass every check (Lemma 5, 6, 7, 8; Thm 10)@."
-    (seeds - !failures) seeds;
-  header (Fmt.str "E12: Section 4 reconfiguration invariants on %d random systems" (seeds / 2));
-  let rfail = ref 0 and recons = ref 0 in
-  for seed = 1 to seeds / 2 do
-    match Recon.Harness.run_and_check ~seed () with
-    | Ok r -> recons := !recons + r.Recon.Harness.recons_fired
-    | Error e ->
-        incr rfail;
-        Fmt.pr "%-8d %-38s@." seed e
-  done;
-  Fmt.pr "TOTAL: %d/%d recon runs pass (with %d reconfigurations exercised)@."
-    ((seeds / 2) - !rfail) (seeds / 2) !recons
+let formal seeds =
+  let runs check n = List.init n (fun i -> (i + 1, check (i + 1))) in
+  let quorum = runs (fun seed -> Quorum.Harness.run_and_check ~seed ()) seeds in
+  let recon =
+    runs (fun seed -> Recon.Harness.run_and_check ~seed ()) (seeds / 2)
+  in
+  let passed rs = List.length (List.filter (fun (_, r) -> Result.is_ok r) rs) in
+  let errors (seed, r) =
+    match r with Error e -> Some [ d seed; e ] | Ok _ -> None
+  in
+  let recons =
+    List.fold_left
+      (fun acc (_, r) ->
+        match r with Ok r -> acc + r.Recon.Harness.recons_fired | Error _ -> acc)
+      0 recon
+  in
+  [
+    section
+      (Fmt.str
+         "E5-E10: Lemmas 5-8 + Theorem 10 on %d random replicated serial systems"
+         seeds)
+      [ "seed"; "steps"; "quiescent"; "items"; "verdict" ]
+      (List.filter_map
+         (function
+           | seed, Ok r when seed <= 10 || seed mod 25 = 0 ->
+               Some
+                 [ d seed; d r.Quorum.Harness.steps; string_of_bool r.quiescent;
+                   d r.items; "OK" ]
+           | run -> errors run)
+         quorum)
+      ~notes:
+        [ "...";
+          Fmt.str "TOTAL: %d/%d runs pass every check (Lemma 5, 6, 7, 8; Thm 10)"
+            (passed quorum) seeds ];
+    section
+      (Fmt.str "E12: Section 4 reconfiguration invariants on %d random systems"
+         (seeds / 2))
+      [] (List.filter_map errors recon)
+      ~notes:
+        [ Fmt.str
+            "TOTAL: %d/%d recon runs pass (with %d reconfigurations exercised)"
+            (passed recon) (seeds / 2) recons ];
+  ]
 
-(* ---------- Q1 availability ---------- *)
+(* ---------- E11 Theorem 11 ---------- *)
 
-let availability_table () =
-  header "Q1: availability vs per-site availability p (n = 5 replicas)";
-  Fmt.pr "%-28s %-6s %-12s %-12s %-10s@." "strategy" "p" "read(anal)"
-    "write(anal)" "simulated";
-  List.iter
-    (fun (r : Store.Experiments.availability_row) ->
-      Fmt.pr "%-28s %-6.2f %-12.4f %-12.4f %-10.4f@."
-        r.Store.Experiments.strategy r.p r.read_analytic r.write_analytic
-        r.simulated)
-    (Store.Experiments.availability_sweep ())
+let theorem11 seeds =
+  let row (name, mode, expect_pass) =
+    let oks =
+      List.filter_map
+        (fun seed -> Result.to_option (Cc.Harness.run_and_check ~mode ~seed ()))
+        (List.init seeds succ)
+    in
+    let pass = List.length oks in
+    let sum g = List.fold_left (fun acc r -> acc + g r) 0 oks in
+    let verdict =
+      if expect_pass then if pass = seeds then "OK" else "FAIL"
+      else if pass < seeds then "violations found (expected)"
+      else "UNEXPECTEDLY CLEAN"
+    in
+    [ name; Fmt.str "%d/%d" pass seeds;
+      d (sum (fun r -> r.Cc.Harness.committed_tops));
+      d (sum (fun r -> r.Cc.Harness.aborted_nodes));
+      d (List.fold_left (fun m r -> max m r.Cc.Harness.peak_concurrency) 0 oks);
+      verdict ]
+  in
+  [
+    section
+      (Fmt.str
+         "E11: one-copy serializability of concurrent replicated runs (%d seeds \
+          per mode)"
+         seeds)
+      [ "mode"; "pass"; "commits"; "aborted"; "peak-conc"; "verdict" ]
+      (List.map row
+         [ ("2PL", `TwoPL, true); ("MVTO", `Mvto, true); ("none", `NoCC, false) ]);
+  ]
 
-(* ---------- Q2 latency ---------- *)
+(* ---------- Q1-Q4, G1-G3 ---------- *)
 
-let latency_table () =
-  header "Q2: operation latency by strategy (n = 5, lognormal link latency)";
-  Fmt.pr "%-28s %-5s %-5s %-28s %-28s@." "strategy" "|rq|" "|wq|"
-    "read latency" "write latency";
-  List.iter
-    (fun (r : Store.Experiments.latency_row) ->
-      Fmt.pr "%-28s %-5d %-5d %-28s %-28s@." r.Store.Experiments.strategy
-        r.min_read_quorum r.min_write_quorum
-        (Fmt.str "%a" Sim.Stats.pp_summary r.read)
-        (Fmt.str "%a" Sim.Stats.pp_summary r.write))
-    (Store.Experiments.latency_table ())
+let availability () =
+  section "Q1: availability vs per-site availability p (n = 5 replicas)"
+    [ "strategy"; "p"; "read(anal)"; "write(anal)"; "simulated" ]
+    (List.map
+       (fun (r : E.availability_row) ->
+         [ r.strategy; f 2 r.p; f 4 r.read_analytic; f 4 r.write_analytic;
+           f 4 r.simulated ])
+       (E.availability_sweep ()))
 
-(* ---------- Q3 crossover ---------- *)
+let latency () =
+  section "Q2: operation latency by strategy (n = 5, lognormal link latency)"
+    [ "strategy"; "|rq|"; "|wq|"; "read latency"; "write latency" ]
+    (List.map
+       (fun (r : E.latency_row) ->
+         [ r.strategy; d r.min_read_quorum; d r.min_write_quorum;
+           Fmt.str "%a" Sim.Stats.pp_summary r.read;
+           Fmt.str "%a" Sim.Stats.pp_summary r.write ])
+       (E.latency_table ()))
 
-let crossover_table () =
-  header "Q3: mean op latency, read-one/write-all vs majority, by read fraction";
-  Fmt.pr "%-15s %-12s %-12s %-20s@." "read fraction" "rowa" "majority" "winner";
-  List.iter
-    (fun (r : Store.Experiments.crossover_row) ->
-      Fmt.pr "%-15.2f %-12.2f %-12.2f %-20s@." r.Store.Experiments.read_fraction
-        r.rowa_mean r.majority_mean r.winner)
-    (Store.Experiments.crossover ())
+let crossover () =
+  section "Q3: mean op latency, read-one/write-all vs majority, by read fraction"
+    [ "read fraction"; "rowa"; "majority"; "winner" ]
+    (List.map
+       (fun (r : E.crossover_row) ->
+         [ f 2 r.read_fraction; f 2 r.rowa_mean; f 2 r.majority_mean; r.winner ])
+       (E.crossover ()))
 
-(* ---------- G1-G3 ---------- *)
+let gifford () =
+  section "G1-G3: weighted-voting configurations (Gifford-style examples)"
+    [ "example"; "votes"; "r"; "w"; "|rq|"; "|wq|"; "Ar(p=.9)"; "Aw(p=.9)";
+      "lat(r)"; "lat(w)" ]
+    (List.map
+       (fun (g : E.gifford_row) ->
+         [ g.label; votes g.votes; d g.r; d g.w; d g.min_read_quorum;
+           d g.min_write_quorum; f 4 g.read_avail_90; f 4 g.write_avail_90;
+           f 2 g.read_latency; f 2 g.write_latency ])
+       (E.gifford_examples ()))
 
-let gifford_table () =
-  header "G1-G3: weighted-voting configurations (Gifford-style examples)";
-  Fmt.pr "%-24s %-14s %-4s %-4s %-5s %-5s %-9s %-9s %-8s %-8s@." "example"
-    "votes" "r" "w" "|rq|" "|wq|" "Ar(p=.9)" "Aw(p=.9)" "lat(r)" "lat(w)";
-  List.iter
-    (fun (g : Store.Experiments.gifford_row) ->
-      Fmt.pr "%-24s %-14s %-4d %-4d %-5d %-5d %-9.4f %-9.4f %-8.2f %-8.2f@."
-        g.Store.Experiments.label
-        (String.concat "," (List.map string_of_int g.votes))
-        g.r g.w g.min_read_quorum g.min_write_quorum g.read_avail_90
-        g.write_avail_90 g.read_latency g.write_latency)
-    (Store.Experiments.gifford_examples ())
-
-(* ---------- Q4 reconfiguration ---------- *)
-
-let reconfig_table () =
-  header
+let reconfig () =
+  section
     "Q4: reconfiguration restores availability (RoWa/5 -> 2 replicas die -> \
-     majority over survivors)";
-  Fmt.pr "%-18s %-8s %-8s %-8s@." "phase" "ok" "failed" "rate";
-  List.iter
-    (fun (r : Store.Experiments.reconfig_row) ->
-      Fmt.pr "%-18s %-8d %-8d %-8.3f@." r.Store.Experiments.phase r.ok r.failed
-        r.rate)
-    (Store.Experiments.reconfig_experiment ())
+     majority over survivors)"
+    [ "phase"; "ok"; "failed"; "rate" ]
+    (List.map
+       (fun (r : E.reconfig_row) -> [ r.phase; d r.ok; d r.failed; f 3 r.rate ])
+       (E.reconfig_experiment ()))
 
-(* ---------- E13 ADT extension ---------- *)
+(* ---------- E13 ADT, E14 virtual partitions (extensions) ---------- *)
 
-let adt_table () =
-  header
+let adt () =
+  let races =
+    List.map
+      (fun (r : Adt.Experiments.race_row) ->
+        [ r.scheme; d r.issued; d r.final; d r.lost ])
+      (Adt.Experiments.race_comparison ())
+  in
+  section
     "E13 (extension): General Quorum Consensus for ADTs vs read-write quorums \
-     (counter, n = 5, majority)";
-  Fmt.pr "%-34s %-10s %-10s %-10s %-8s %-10s@." "scheme" "mut mean" "mut p90"
-    "obs mean" "rounds" "counter";
-  List.iter
-    (fun (r : Adt.Experiments.row) ->
-      Fmt.pr "%-34s %-10.2f %-10.2f %-10.2f %-8.1f %d/%d@."
-        r.Adt.Experiments.scheme r.mutation_mean r.mutation_p90 r.observe_mean
-        r.rounds_per_mutation r.final_total r.expected_total)
-    (Adt.Experiments.counter_comparison ());
-  Fmt.pr "@.lost updates under two racing incrementers (100 each):@.";
-  Fmt.pr "%-24s %-8s %-8s %-8s@." "scheme" "done" "final" "lost";
-  List.iter
-    (fun (r : Adt.Experiments.race_row) ->
-      Fmt.pr "%-24s %-8d %-8d %-8d@." r.Adt.Experiments.scheme r.issued r.final
-        r.lost)
-    (Adt.Experiments.race_comparison ())
+     (counter, n = 5, majority)"
+    [ "scheme"; "mut mean"; "mut p90"; "obs mean"; "rounds"; "counter" ]
+    (List.map
+       (fun (r : Adt.Experiments.row) ->
+         [ r.scheme; f 2 r.mutation_mean; f 2 r.mutation_p90; f 2 r.observe_mean;
+           f 1 r.rounds_per_mutation;
+           Fmt.str "%d/%d" r.final_total r.expected_total ])
+       (Adt.Experiments.counter_comparison ()))
+    ~notes:
+      ("" :: "lost updates under two racing incrementers (100 each):"
+      :: Table.lines ~header:[ "scheme"; "done"; "final"; "lost" ] races)
 
-(* ---------- load: broadcast vs targeted quorums ---------- *)
+let vp () =
+  let c = Vp.Experiments.compare () in
+  section
+    "E14 (extension): virtual partitions (El Abbadi-Toueg) — partition \
+     timeline and read-one fast path"
+    [ "phase"; "ok"; "failed"; "read mean" ]
+    (List.map
+       (fun (r : Vp.Experiments.phase_row) ->
+         [ r.phase; d r.ok; d r.failed; f 2 r.read_mean ])
+       c.phases)
+    ~notes:
+      [ "";
+        Fmt.str "read-one in healthy view: %.2f vs static majority quorum read: %.2f"
+          c.vp_read_mean c.majority_read_mean;
+        Fmt.str "stale reads: %d; minority-side view refused: %b" c.stale_reads
+          c.minority_view_refused ]
 
-let load_table () =
-  header
-    "Load & messages: broadcast vs targeted-quorum routing (n = 6, 80% reads)";
-  Fmt.pr "%-18s %-11s %-10s %-10s %-12s %-10s@." "strategy" "mode" "messages"
-    "read mean" "availability" "imbalance";
-  List.iter
-    (fun (r : Store.Experiments.load_row) ->
-      Fmt.pr "%-18s %-11s %-10d %-10.2f %-12.3f %-10.2f@."
-        r.Store.Experiments.strategy_name r.mode r.messages r.read_mean
-        r.availability r.load_imbalance)
-    (Store.Experiments.load_table ());
-  Fmt.pr
-    "@.shape: targeting cuts messages ~n/|q|-fold and reveals the load axis \
-     (grid spreads it; a primary-weighted scheme hot-spots the big site); \
-     broadcast hides load but wins tail latency via quorum-wide hedging.@."
+(* ---------- coterie quality, read repair, optimal votes ---------- *)
 
-(* ---------- retry/backoff/hedging policy ablation ---------- *)
+let coterie () =
+  let dms = List.init 5 (fun i -> Fmt.str "d%d" i) in
+  let row (name, c) =
+    match Quorum.Coterie.of_write_side c with
+    | None -> [ name; "not a coterie"; "-"; "-" ]
+    | Some coterie ->
+        [ name; "coterie"; string_of_bool (Quorum.Coterie.non_dominated coterie);
+          (match Quorum.Coterie.domination_witness coterie with
+          | Some w -> String.concat "," w
+          | None -> "-") ]
+  in
+  section
+    "Coterie analysis (Barbara & Garcia-Molina): write sides of the standard \
+     configurations over 5 DMs"
+    [ "configuration"; "write side"; "non-dominated"; "domination witness" ]
+    (List.map row
+       [
+         ("majority", Quorum.Config.majority dms);
+         ("read-one/write-all", Quorum.Config.rowa dms);
+         ("read-all/write-one", Quorum.Config.raow dms);
+         ( "grid 1x5-ish",
+           Quorum.Config.weighted
+             ~votes:(List.mapi (fun i d -> (d, if i = 0 then 2 else 1)) dms)
+             ~read_threshold:2 ~write_threshold:5 );
+       ])
+    ~notes:
+      [ "";
+        "shape: majority is non-dominated (optimal in the coterie sense); \
+         write-all is dominated (any single site witnesses it) — the price of \
+         read-one reads." ]
 
-let retry_table () =
-  header
+let repair () =
+  section
+    "Read repair (anti-entropy): replica staleness after a failure-heavy \
+     write phase, then a read-only phase (majority, n = 5)"
+    [ "mode"; "staleness(mid)"; "staleness(end)"; "repairs" ]
+    (List.map
+       (fun (r : E.repair_row) ->
+         [ r.mode; f 3 r.staleness_mid; f 3 r.staleness_end; d r.repairs_sent ])
+       (E.read_repair_experiment ()))
+
+let optimal () =
+  section
+    "Optimal vote assignments (n = 5): best (votes, r, w) by availability, \
+     per site availability p and read fraction f"
+    [ "p"; "f"; "votes"; "r"; "w"; "score"; "rowa"; "majority" ]
+    (List.map
+       (fun (r : E.optimum_row) ->
+         [ f 2 r.p; f 2 r.read_fraction; votes r.votes; d r.r; d r.w;
+           f 5 r.score; f 5 r.rowa_score; f 5 r.majority_score ])
+       (E.optimal_configurations ()))
+    ~notes:
+      [ "";
+        "shape: the optimum always weakly dominates both classical extremes; \
+         at moderate p the skewed workloads are won by ASYMMETRIC quorums \
+         (e.g. 2-of-5 reads / 4-of-5 writes), not by read-one/write-all — \
+         whose write side collapses; rowa's real advantage is latency, not \
+         availability." ]
+
+(* ---------- the store ablations ---------- *)
+
+let load () =
+  section
+    "Load & messages: broadcast vs targeted-quorum routing (n = 6, 80% reads)"
+    [ "strategy"; "mode"; "messages"; "read mean"; "availability"; "imbalance" ]
+    (List.map
+       (fun (r : E.load_row) ->
+         [ r.strategy_name; r.mode; d r.messages; f 2 r.read_mean;
+           f 3 r.availability; f 2 r.load_imbalance ])
+       (E.load_table ()))
+    ~notes:
+      [ "";
+        "shape: targeting cuts messages ~n/|q|-fold and reveals the load axis \
+         (grid spreads it; a primary-weighted scheme hot-spots the big site); \
+         broadcast hides load but wins tail latency via quorum-wide hedging." ]
+
+let retry () =
+  section
     "Retry & hedging ablation: success rate and latency vs RPC policy under \
-     loss and partitions (majority-5, targeted quorums)";
-  Fmt.pr "%-22s %-12s %-6s %-8s %-9s %-10s %-10s %-8s %-7s %-7s@." "policy"
-    "condition" "ok" "failed" "success" "read mean" "messages" "retries"
-    "hedges" "audit";
-  List.iter
-    (fun (r : Store.Experiments.retry_row) ->
-      Fmt.pr "%-22s %-12s %-6d %-8d %-9.3f %-10.2f %-10d %-8d %-7d %-7s@."
-        r.Store.Experiments.policy_name r.condition r.ok_ops r.failed_ops
-        r.success_rate r.read_mean r.messages r.retries r.hedges
-        (if r.audit_clean then "clean" else "DIRTY"))
-    (Store.Experiments.retry_policy_table ());
-  Fmt.pr
-    "@.shape: fire-once pays the full operation timeout whenever one message \
-     of the chosen quorum is lost; bounded retries resend to the unheard \
-     members and recover most of the lost availability for a modest message \
-     overhead, and hedging adds the unchosen replicas as a late fallback — \
-     the audit stays clean throughout, since retries and hedges never weaken \
-     quorum intersection.@."
+     loss and partitions (majority-5, targeted quorums)"
+    [ "policy"; "condition"; "ok"; "failed"; "success"; "read mean";
+      "messages"; "retries"; "hedges"; "audit" ]
+    (List.map
+       (fun (r : E.retry_row) ->
+         let o = r.outcome in
+         [ r.policy_name; r.condition; d o.ok_ops; d o.failed_ops;
+           f 3 r.success_rate; f 2 r.read_mean; d o.messages; d r.retries;
+           d r.hedges; audit o.audit_clean ])
+       (E.retry_policy_table ()))
+    ~notes:
+      [ "";
+        "shape: fire-once pays the full operation timeout whenever one message \
+         of the chosen quorum is lost; bounded retries resend to the unheard \
+         members and recover most of the lost availability for a modest \
+         message overhead, and hedging adds the unchosen replicas as a late \
+         fallback — the audit stays clean throughout, since retries and \
+         hedges never weaken quorum intersection." ]
 
-(* ---------- shard-balance ablation ---------- *)
-
-let shards_table ?(seeds = 1) () =
-  header
-    (if seeds = 1 then
-       "Shard-balance ablation: Zipf s=1.1 keys over 1/2/4 range shards \
+let shards seeds =
+  let cell min mean =
+    if seeds = 1 then f 3 mean else Fmt.str "%.3f/%.3f" min mean
+  in
+  [
+    section
+      ("Shard-balance ablation: Zipf s=1.1 keys over 1/2/4 range shards \
         (majority-3 per shard, 80% reads), with the hot shard killed at t=500"
-     else
-       Fmt.str
-         "Shard-balance ablation: Zipf s=1.1 keys over 1/2/4 range shards \
-          (majority-3 per shard, 80%% reads), with the hot shard killed at \
-          t=500 — availability cells min/mean over %d seeds"
-         seeds);
-  Fmt.pr "%-8s %-10s %-10s %-11s %-13s %-19s %-19s@." "shards" "replicas"
-    "messages" "imbalance" "shard spread" "availability" "kill avail";
-  List.iter
-    (fun (r : Store.Experiments.shard_row) ->
-      let cell min mean =
-        if seeds = 1 then Fmt.str "%.3f" mean
-        else Fmt.str "%.3f/%.3f" min mean
-      in
-      Fmt.pr "%-8d %-10d %-10d %-11.2f %-13.2f %-19s %-19s@."
-        r.Store.Experiments.n_shards r.total_replicas r.messages
-        r.replica_imbalance r.shard_spread
-        (cell r.min_availability r.availability)
-        (cell r.min_kill_availability r.kill_availability))
-    (Store.Experiments.shard_table ~seeds ());
-  Fmt.pr
-    "@.shape: per-key quorums make sharding correctness-free capacity — \
-     messages stay flat while replicas multiply; range sharding concentrates \
-     the Zipf head in shard 0 (spread >> 1), and killing that shard is a \
-     total outage at 1 shard but leaves the other shards' keys serving as \
-     the shard count grows.@."
+      ^
+      if seeds = 1 then ""
+      else Fmt.str " — availability cells min/mean over %d seeds" seeds)
+      [ "shards"; "replicas"; "messages"; "imbalance"; "shard spread";
+        "availability"; "kill avail" ]
+      (List.map
+         (fun (r : E.shard_row) ->
+           [ d r.n_shards; d r.total_replicas; d r.messages;
+             f 2 r.replica_imbalance; f 2 r.shard_spread;
+             cell r.min_availability r.availability;
+             cell r.min_kill_availability r.kill_availability ])
+         (E.shard_table ~seeds ()))
+      ~notes:
+        [ "";
+          "shape: per-key quorums make sharding correctness-free capacity — \
+           messages stay flat while replicas multiply; range sharding \
+           concentrates the Zipf head in shard 0 (spread >> 1), and killing \
+           that shard is a total outage at 1 shard but leaves the other \
+           shards' keys serving as the shard count grows." ];
+  ]
 
-(* ---------- multi-key batching ablation ---------- *)
-
-let batch_table () =
-  header
+let batch () =
+  section
     "Multi-key batching ablation: burst-8 clients, batched vs unbatched \
-     (majority-5, broadcast), uniform and Zipf-skewed keys";
-  Fmt.pr "%-15s %-15s %-10s %-10s %-10s %-10s %-6s %-8s %-7s@." "workload"
-    "mode" "messages" "payloads" "read p95" "write p95" "ok" "failed" "audit";
-  List.iter
-    (fun (r : Store.Experiments.batch_row) ->
-      Fmt.pr "%-15s %-15s %-10d %-10d %-10.2f %-10.2f %-6d %-8d %-7s@."
-        r.Store.Experiments.zipf_label r.mode r.b_messages r.b_payloads
-        r.read_p95 r.write_p95 r.b_ok_ops r.b_failed_ops
-        (if r.b_audit_clean then "clean" else "DIRTY"))
-    (Store.Experiments.batching_table ());
-  Fmt.pr
-    "@.shape: a burst of distinct keys shares one frame per replica per \
-     window, so wire messages collapse (payloads count the logical work and \
-     stay equal) at the cost of up to one window of queue delay per request \
-     in the p95 columns; the audit is untouched — batching changes framing, \
-     never quorum membership.@."
+     (majority-5, broadcast), uniform and Zipf-skewed keys"
+    [ "workload"; "mode"; "messages"; "payloads"; "read p95"; "write p95";
+      "ok"; "failed"; "audit" ]
+    (List.map
+       (fun (r : E.batch_row) ->
+         let o = r.outcome in
+         [ r.zipf_label; r.mode; d o.messages; d o.payloads; f 2 r.read_p95;
+           f 2 r.write_p95; d o.ok_ops; d o.failed_ops; audit o.audit_clean ])
+       (E.batching_table ()))
+    ~notes:
+      [ "";
+        "shape: a burst of distinct keys shares one frame per replica per \
+         window, so wire messages collapse (payloads count the logical work \
+         and stay equal) at the cost of up to one window of queue delay per \
+         request in the p95 columns; the audit is untouched — batching \
+         changes framing, never quorum membership." ]
 
-(* ---------- replica-side io pipeline ablation ---------- *)
+let attribution () =
+  section
+    "Latency attribution: per-phase decomposition of mean op latency, loss x \
+     burst (majority-3 x 2 shards, retries, batch window 1.0, storage \
+     0.05/2.0)"
+    (("condition" :: "ops" :: "wall"
+     :: List.map Obs.Attribution.phase_label Obs.Attribution.phases)
+    @ [ "audit" ])
+    (List.map
+       (fun (r : E.attr_row) ->
+         (r.a_label :: d r.a_ops :: f 3 r.a_wall_mean
+         :: List.map (fun (_, x) -> f 3 x) r.a_phase_means)
+         @ [ audit r.outcome.audit_clean ])
+       (E.attribution_table ()))
+    ~notes:
+      [ "";
+        "shape: the phases sum to the wall mean by construction, so each \
+         knob's cost lands in its own column — loss shows up as backoff gaps \
+         (and timeout-inflated net), bursts as batch-window waits plus the \
+         group-commit fsync share; what remains in net is genuine flight and \
+         scheduling, the part no client-side knob can recover." ]
 
-let io_table_check () =
-  header
-    "Replica io-pipeline ablation: per-install fsync vs group commit \
-     (majority-3, burst-8 Zipf, 30% reads, write_cost=0.05 fsync_cost=5.0)";
-  Fmt.pr "%-15s %-10s %-8s %-14s %-11s %-10s %-6s %-8s %-7s@." "mode"
-    "installs" "fsyncs" "fsyncs/install" "write mean" "write p95" "ok"
-    "failed" "audit";
-  let rows = Store.Experiments.io_table () in
-  List.iter
-    (fun (r : Store.Experiments.io_row) ->
-      Fmt.pr "%-15s %-10d %-8d %-14.3f %-11.2f %-10.2f %-6d %-8d %-7s@."
-        r.Store.Experiments.io_mode r.io_installs r.io_fsyncs
-        r.io_fsyncs_per_install r.io_write_mean r.io_write_p95 r.io_ok_ops
-        r.io_failed_ops
-        (if r.io_audit_clean then "clean" else "DIRTY")) rows;
+let io () =
+  let rows = E.io_table () in
   let fpi mode =
-    match
-      List.find_opt (fun r -> r.Store.Experiments.io_mode = mode) rows
-    with
-    | Some r -> r.Store.Experiments.io_fsyncs_per_install
+    match List.find_opt (fun (r : E.io_row) -> r.io_mode = mode) rows with
+    | Some r -> r.io_fsyncs_per_install
     | None -> nan
   in
   let amortization = fpi "naive-fsync" /. fpi "group-commit" in
-  let audits_clean =
-    List.for_all (fun r -> r.Store.Experiments.io_audit_clean) rows
-  in
-  Fmt.pr
-    "@.shape: the device serializes, so per-install fsyncs queue behind each \
-     other and every burst pays its full length in fsync latency; group \
-     commit drains whatever accumulated behind the in-flight fsync as one \
-     group, amortizing the dominant cost — acks still wait for durability, \
-     so the audit is unchanged.@.";
-  Fmt.pr "@.group-commit fsync amortization vs naive: %.2fx (gate: >= 2.0)@."
-    amortization;
-  amortization >= 2.0 && audits_clean
+  section
+    "Replica io-pipeline ablation: per-install fsync vs group commit \
+     (majority-3, burst-8 Zipf, 30% reads, write_cost=0.05 fsync_cost=5.0)"
+    [ "mode"; "installs"; "fsyncs"; "fsyncs/install"; "write mean";
+      "write p95"; "ok"; "failed"; "audit" ]
+    (List.map
+       (fun (r : E.io_row) ->
+         let o = r.outcome in
+         [ r.io_mode; d r.io_installs; d r.io_fsyncs;
+           f 3 r.io_fsyncs_per_install; f 2 r.io_write_mean; f 2 r.io_write_p95;
+           d o.ok_ops; d o.failed_ops; audit o.audit_clean ])
+       rows)
+    ~notes:
+      [ "";
+        "shape: the device serializes, so per-install fsyncs queue behind \
+         each other and every burst pays its full length in fsync latency; \
+         group commit drains whatever accumulated behind the in-flight fsync \
+         as one group, amortizing the dominant cost — acks still wait for \
+         durability, so the audit is unchanged.";
+        "";
+        Fmt.str "group-commit fsync amortization vs naive: %.2fx (gate: >= 2.0)"
+          amortization ]
+    ~gates:
+      [ ("group-commit amortizes fsyncs >= 2.0x", amortization >= 2.0);
+        ( "audits clean",
+          List.for_all (fun (r : E.io_row) -> r.outcome.audit_clean) rows ) ]
 
-let io_table_cmd () =
-  if not (io_table_check ()) then (
-    Fmt.epr "io ablation gate FAILED: amortization < 2.0x or dirty audit@.";
-    exit 1)
-
-(* ---------- adaptive batching-window ablation ---------- *)
-
-let window_table_cmd () =
-  header
+let window () =
+  section
     "Adaptive batching-window ablation: static windows vs AIMD control \
-     (majority-3, burst-8 Zipf vs uniform low-rate)";
-  Fmt.pr "%-18s %-15s %-10s %-10s %-10s %-6s %-8s %-7s@." "workload" "mode"
-    "messages" "payloads" "op mean" "ok" "failed" "audit";
-  List.iter
-    (fun (r : Store.Experiments.window_row) ->
-      Fmt.pr "%-18s %-15s %-10d %-10d %-10.2f %-6d %-8d %-7s@."
-        r.Store.Experiments.w_workload r.w_mode r.w_messages r.w_payloads
-        r.w_op_mean r.w_ok_ops r.w_failed_ops
-        (if r.w_audit_clean then "clean" else "DIRTY"))
-    (Store.Experiments.window_table ());
-  Fmt.pr
-    "@.shape: on bursts, wide static windows buy coalescing with queue \
-     delay; the AIMD controller widens only while flushes keep finding \
-     full per-replica frames, matching the best static message economy, \
-     and decays to zero on the uniform low-rate workload — where it adds \
-     no window latency at all (compare its op mean with unbatched).@."
+     (majority-3, burst-8 Zipf vs uniform low-rate)"
+    [ "workload"; "mode"; "messages"; "payloads"; "op mean"; "ok"; "failed";
+      "audit" ]
+    (List.map
+       (fun (r : E.window_row) ->
+         let o = r.outcome in
+         [ r.w_workload; r.w_mode; d o.messages; d o.payloads; f 2 r.w_op_mean;
+           d o.ok_ops; d o.failed_ops; audit o.audit_clean ])
+       (E.window_table ()))
+    ~notes:
+      [ "";
+        "shape: on bursts, wide static windows buy coalescing with queue \
+         delay; the AIMD controller widens only while flushes keep finding \
+         full per-replica frames, matching the best static message economy, \
+         and decays to zero on the uniform low-rate workload — where it adds \
+         no window latency at all (compare its op mean with unbatched)." ]
 
-(* ---------- latency-attribution ablation ---------- *)
+(* ---------- cross-shard commit ablation: 2PC vs Paxos Commit ---------- *)
 
-let attribution_table_cmd () =
-  header
-    "Latency attribution: per-phase decomposition of mean op latency, loss x \
-     burst (majority-3 x 2 shards, retries, batch window 1.0, storage \
-     0.05/2.0)";
-  Fmt.pr "%-18s %-6s %-9s" "condition" "ops" "wall";
-  List.iter
-    (fun p -> Fmt.pr " %8s" (Obs.Attribution.phase_label p))
-    Obs.Attribution.phases;
-  Fmt.pr " %-7s@." "audit";
-  List.iter
-    (fun (r : Store.Experiments.attr_row) ->
-      Fmt.pr "%-18s %-6d %-9.3f" r.Store.Experiments.a_label r.a_ops
-        r.a_wall_mean;
-      List.iter (fun (_, d) -> Fmt.pr " %8.3f" d) r.a_phase_means;
-      Fmt.pr " %-7s@." (if r.a_audit_clean then "clean" else "DIRTY"))
-    (Store.Experiments.attribution_table ());
-  Fmt.pr
-    "@.shape: the phases sum to the wall mean by construction, so each knob's \
-     cost lands in its own column — loss shows up as backoff gaps (and \
-     timeout-inflated net), bursts as batch-window waits plus the \
-     group-commit fsync share; what remains in net is genuine flight and \
-     scheduling, the part no client-side knob can recover.@."
+let txn seeds =
+  let rows = E.txn_table ~seeds in
+  let sum mode g =
+    List.fold_left
+      (fun acc (r : E.txn_row) -> if r.commit_mode = mode then acc + g r else acc)
+      0 rows
+  in
+  let blocked m = sum m (fun r -> r.blocked)
+  and violations m = sum m (fun r -> r.violations)
+  and stuck m = sum m (fun r -> if r.live then 0 else 1) in
+  let total m =
+    Fmt.str
+      "%s TOTAL: %d acked, %d blocked txn(s), %d audit violation(s), %d stuck \
+       run(s)"
+      (Store.Txn.mode_label m) (sum m (fun r -> r.acked)) (blocked m)
+      (violations m) (stuck m)
+  in
+  [
+    section
+      (Fmt.str
+         "TXN: coordinator-kill ablation — blocking 2PC vs Paxos Commit (3 \
+          shards x majority-3, 3 clients, 2 coordinators killed in the commit \
+          window, healed at t=701; %d seeds per mode)"
+         seeds)
+      [ "mode"; "seed"; "acked"; "failed"; "decided"; "blocked"; "lat mean";
+        "audit"; "liveness" ]
+      (List.map
+         (fun (r : E.txn_row) ->
+           [ Store.Txn.mode_label r.commit_mode; d r.txn_seed; d r.acked;
+             d r.txn_failed; d r.decided; d r.blocked; f 2 r.txn_latency_mean;
+             audit (r.violations = 0); (if r.live then "live" else "STUCK") ])
+         rows)
+      ~notes:
+        [ ""; total `Two_phase; total `Paxos; "";
+          "shape: the kill lands between prepare and decision, so 2PC \
+           participants stay prepared-but-undecided — locked and in doubt — \
+           until the coordinator returns (here: never inside the measurement \
+           window); Paxos Commit lets the prepared replicas elect a recovery \
+           leader over the same decision register and finish the commit, so \
+           nothing stays blocked once the partition heals, at no cost to the \
+           audit.";
+          "" ]
+      ~gates:
+        [ ("2pc blocked > 0", blocked `Two_phase > 0);
+          ("paxos blocked = 0", blocked `Paxos = 0);
+          ("audits clean", violations `Two_phase + violations `Paxos = 0);
+          ("paxos live after heal", stuck `Paxos = 0) ];
+  ]
 
-(* ---------- optimal vote assignments ---------- *)
+(* ---------- workload-aware quorum tuning ---------- *)
 
-let optimal_table () =
-  header
-    "Optimal vote assignments (n = 5): best (votes, r, w) by availability, \
-     per site availability p and read fraction f";
-  Fmt.pr "%-6s %-6s %-14s %-4s %-4s %-10s %-10s %-10s@." "p" "f" "votes" "r"
-    "w" "score" "rowa" "majority";
-  List.iter
-    (fun (r : Store.Experiments.optimum_row) ->
-      Fmt.pr "%-6.2f %-6.2f %-14s %-4d %-4d %-10.5f %-10.5f %-10.5f@."
-        r.Store.Experiments.p r.read_fraction
-        (String.concat "," (List.map string_of_int r.votes))
-        r.r r.w r.score r.rowa_score r.majority_score)
-    (Store.Experiments.optimal_configurations ());
-  Fmt.pr
-    "@.shape: the optimum always weakly dominates both classical extremes; \
-     at moderate p the skewed workloads are won by ASYMMETRIC quorums \
-     (e.g. 2-of-5 reads / 4-of-5 writes), not by read-one/write-all — \
-     whose write side collapses; rowa's real advantage is latency, not \
-     availability.@."
+let tune seeds =
+  let rows = E.tune_table ~seeds () in
+  let find env mode =
+    List.find
+      (fun (r : E.tune_row) ->
+        r.t_env = env && r.t_mix = "90/10" && r.t_mode = mode)
+      rows
+  in
+  let maj = find "uniform" "majority" and opt = find "uniform" "optimized" in
+  let smaj = find "slow-r4" "majority"
+  and ssteer = find "slow-r4" "majority+steer" in
+  [
+    section
+      (Fmt.str
+         "TUNE: workload-aware quorum optimizer + queue-aware read steering vs \
+          static majority (5 replicas, 4 clients, quorum targeting, fire-once; \
+          %d seeds per cell)"
+         seeds)
+      [ "env"; "mix"; "mode"; "strategy"; "sw"; "ok"; "failed"; "thruput";
+        "read-mean"; "read-p99"; "audit" ]
+      (List.map
+         (fun (r : E.tune_row) ->
+           let o = r.outcome in
+           [ r.t_env; r.t_mix; r.t_mode; r.t_strategy; d r.t_switches;
+             d o.ok_ops; d o.failed_ops; f 4 r.t_throughput; f 2 r.t_read_mean;
+             f 2 r.t_read_p99; audit o.audit_clean ])
+         rows)
+      ~notes:
+        [ "";
+          "shape: on the skewed mix the optimizer migrates the shard off \
+           majority onto a small-read-quorum strategy (writes pay a larger \
+           install quorum, but at 90/10 the read side dominates both load and \
+           latency); with a slow replica, steering routes reads around it \
+           using the per-replica latency EWMA + live queue depths, while \
+           random quorum picks keep paying its tax.  Every switch runs the \
+           joint-strategy transition + key migration, so the audits stay clean \
+           throughout.";
+          "" ]
+      ~gates:
+        [ ("optimizer adopted a strategy", opt.t_switches > 0);
+          ( "optimized beats majority (throughput or read p99, 90/10)",
+            Float.compare opt.t_throughput maj.t_throughput > 0
+            || Float.compare opt.t_read_p99 maj.t_read_p99 < 0 );
+          ( "steering beats random under slow-r4 (read p99 or mean)",
+            Float.compare ssteer.t_read_p99 smaj.t_read_p99 < 0
+            || Float.compare ssteer.t_read_mean smaj.t_read_mean < 0 );
+          ( "audits clean",
+            List.for_all (fun (r : E.tune_row) -> r.outcome.audit_clean) rows ) ];
+  ]
 
 (* ---------- exhaustive verification ---------- *)
 
-let exhaustive_table () =
-  header
-    "EX: exhaustive verification — every schedule of small instances checked \
-     (Lemmas 5-8; recon invariants)";
-  Fmt.pr "%-44s %-11s %-11s %-10s %-9s@." "instance" "schedules" "prefixes"
-    "exhausted" "verdict";
-  let w v seq =
-    Serial.User_txn.Access_child
-      (Ioa.Txn.Access { obj = "x"; kind = Ioa.Txn.Write; data = Ioa.Value.Int v; seq })
+let exhaustive () =
+  let access kind data seq =
+    Serial.User_txn.Access_child (Ioa.Txn.Access { obj = "x"; kind; data; seq })
   in
-  let r seq =
-    Serial.User_txn.Access_child
-      (Ioa.Txn.Access { obj = "x"; kind = Ioa.Txn.Read; data = Ioa.Value.Nil; seq })
+  let w v seq = access Ioa.Txn.Write (Ioa.Value.Int v) seq in
+  let r seq = access Ioa.Txn.Read Ioa.Value.Nil seq in
+  let script ?(returns = Serial.User_txn.return_nil) children =
+    { Serial.User_txn.children; ordered = true; eager = false; returns }
   in
-  let quorum_instance name config_of dms ops include_aborts =
+  let row name (s : Quorum.Explore.stats) =
+    [ name; d s.schedules; d s.prefixes; string_of_bool s.exhausted;
+      (if s.violation = None then "OK" else "VIOLATION") ]
+  in
+  let quorum_instance name config_of ops include_aborts =
+    let dms = [ "d0"; "d1" ] in
     let item =
       Quorum.Item.make ~name:"x" ~dms ~config:(config_of dms)
         ~initial:(Ioa.Value.Int 0)
     in
-    let d =
-      {
-        Quorum.Description.items = [ item ];
-        raw_objects = [];
-        root_script =
-          {
-            Serial.User_txn.children =
-              [
-                Serial.User_txn.Sub
-                  ( "t",
-                    {
-                      Serial.User_txn.children = ops;
-                      ordered = true;
-                      eager = false;
-                      returns = Serial.User_txn.return_all;
-                    } );
-              ];
-            ordered = true;
-            eager = false;
-            returns = Serial.User_txn.return_nil;
-          };
-      }
+    let t =
+      Serial.User_txn.Sub ("t", script ~returns:Serial.User_txn.return_all ops)
     in
-    let s =
-      Quorum.Explore.check_description ~budget:5_000_000 ~include_aborts d
-    in
-    Fmt.pr "%-44s %-11d %-11d %-10b %-9s@." name s.Quorum.Explore.schedules
-      s.prefixes s.exhausted
-      (if s.violation = None then "OK" else "VIOLATION")
+    row name
+      (Quorum.Explore.check_description ~budget:5_000_000 ~include_aborts
+         { Quorum.Description.items = [ item ]; raw_objects = [];
+           root_script = script [ t ] })
   in
-  quorum_instance "2-DM rowa, write+read, no aborts" Quorum.Config.rowa
-    [ "d0"; "d1" ] [ w 1 0; r 1 ] false;
-  quorum_instance "2-DM majority, write+read, no aborts" Quorum.Config.majority
-    [ "d0"; "d1" ] [ w 1 0; r 1 ] false;
-  quorum_instance "2-DM rowa, write, WITH aborts" Quorum.Config.rowa
-    [ "d0"; "d1" ] [ w 1 0 ] true;
   (* recon instance: config migrates {d0} -> {d1} around one write *)
   let tiny_item =
+    let config dm =
+      Quorum.Config.make ~read_quorums:[ [ dm ] ] ~write_quorums:[ [ dm ] ]
+    in
     Recon.Item.make ~name:"x" ~dms:[ "d0"; "d1" ] ~initial:(Ioa.Value.Int 0)
-      ~initial_config:
-        (Quorum.Config.make ~read_quorums:[ [ "d0" ] ] ~write_quorums:[ [ "d0" ] ])
-      ~candidates:
-        [ Quorum.Config.make ~read_quorums:[ [ "d1" ] ] ~write_quorums:[ [ "d1" ] ] ]
+      ~initial_config:(config "d0") ~candidates:[ config "d1" ]
   in
-  let rd =
-    {
-      Recon.Description.items = [ tiny_item ];
-      raw_objects = [];
-      root_script =
-        {
-          Serial.User_txn.children = [ w 1 0 ];
-          ordered = true;
-          eager = false;
-          returns = Serial.User_txn.return_nil;
-        };
-      max_recons_per_txn = 1;
-    }
-  in
-  let s = Recon.Explore.check_description ~budget:5_000_000 rd in
-  Fmt.pr "%-44s %-11d %-11d %-10b %-9s@."
-    "recon {d0}->{d1}, write + spy recon" s.Quorum.Explore.schedules s.prefixes
-    s.exhausted
-    (if s.violation = None then "OK" else "VIOLATION")
-
-(* ---------- read repair ---------- *)
-
-let repair_table () =
-  header
-    "Read repair (anti-entropy): replica staleness after a failure-heavy \
-     write phase, then a read-only phase (majority, n = 5)";
-  Fmt.pr "%-18s %-16s %-16s %-10s@." "mode" "staleness(mid)" "staleness(end)"
-    "repairs";
-  List.iter
-    (fun (r : Store.Experiments.repair_row) ->
-      Fmt.pr "%-18s %-16.3f %-16.3f %-10d@." r.Store.Experiments.mode
-        r.staleness_mid r.staleness_end r.repairs_sent)
-    (Store.Experiments.read_repair_experiment ())
-
-(* ---------- coterie quality ---------- *)
-
-let coterie_table () =
-  header
-    "Coterie analysis (Barbara & Garcia-Molina): write sides of the standard \
-     configurations over 5 DMs";
-  let dms = List.init 5 (fun i -> Fmt.str "d%d" i) in
-  Fmt.pr "%-22s %-18s %-14s %-30s@." "configuration" "write side" "non-dominated"
-    "domination witness";
-  List.iter
-    (fun (name, c) ->
-      match Quorum.Coterie.of_write_side c with
-      | None -> Fmt.pr "%-22s %-18s %-14s %-30s@." name "not a coterie" "-" "-"
-      | Some coterie ->
-          let nd = Quorum.Coterie.non_dominated coterie in
-          let witness =
-            match Quorum.Coterie.domination_witness coterie with
-            | Some w -> String.concat "," w
-            | None -> "-"
-          in
-          Fmt.pr "%-22s %-18s %-14b %-30s@." name "coterie" nd witness)
+  section
+    "EX: exhaustive verification — every schedule of small instances checked \
+     (Lemmas 5-8; recon invariants)"
+    [ "instance"; "schedules"; "prefixes"; "exhausted"; "verdict" ]
     [
-      ("majority", Quorum.Config.majority dms);
-      ("read-one/write-all", Quorum.Config.rowa dms);
-      ("read-all/write-one", Quorum.Config.raow dms);
-      ( "grid 1x5-ish",
-        Quorum.Config.weighted
-          ~votes:(List.mapi (fun i d -> (d, if i = 0 then 2 else 1)) dms)
-          ~read_threshold:2 ~write_threshold:5 );
-    ];
-  Fmt.pr
-    "@.shape: majority is non-dominated (optimal in the coterie sense); \
-     write-all is dominated (any single site witnesses it) — the price of \
-     read-one reads.@."
-
-(* ---------- E14 virtual partitions ---------- *)
-
-let vp_table () =
-  header
-    "E14 (extension): virtual partitions (El Abbadi-Toueg) — partition \
-     timeline and read-one fast path";
-  let c = Vp.Experiments.compare () in
-  Fmt.pr "%-18s %-8s %-8s %-10s@." "phase" "ok" "failed" "read mean";
-  List.iter
-    (fun (r : Vp.Experiments.phase_row) ->
-      Fmt.pr "%-18s %-8d %-8d %-10.2f@." r.Vp.Experiments.phase r.ok r.failed
-        r.read_mean)
-    c.Vp.Experiments.phases;
-  Fmt.pr
-    "@.read-one in healthy view: %.2f vs static majority quorum read: %.2f@."
-    c.vp_read_mean c.majority_read_mean;
-  Fmt.pr "stale reads: %d; minority-side view refused: %b@." c.stale_reads
-    c.minority_view_refused
-
-(* ---------- cross-shard commit ablation: 2PC vs Paxos Commit ---------- *)
-
-(* the pinned coordinator-kill schedule of test/test_txn.ml: two
-   client-coordinators die inside the commit window and recover only
-   near the end of the run, after which the network heals *)
-let txn_kill_script =
-  Harness.Script.
-    [
-      At (30.0, Crash "c0");
-      At (55.0, Crash "c1");
-      At (700.0, Recover "c0");
-      At (700.0, Recover "c1");
-      At (701.0, Heal);
+      quorum_instance "2-DM rowa, write+read, no aborts" Quorum.Config.rowa
+        [ w 1 0; r 1 ] false;
+      quorum_instance "2-DM majority, write+read, no aborts"
+        Quorum.Config.majority [ w 1 0; r 1 ] false;
+      quorum_instance "2-DM rowa, write, WITH aborts" Quorum.Config.rowa
+        [ w 1 0 ] true;
+      row "recon {d0}->{d1}, write + spy recon"
+        (Recon.Explore.check_description ~budget:5_000_000
+           { Recon.Description.items = [ tiny_item ]; raw_objects = [];
+             root_script = script [ w 1 0 ]; max_recons_per_txn = 1 });
     ]
 
-let txn_run mode seed =
-  Store.Cluster.run
-    {
-      Store.Cluster.default_params with
-      n_replicas = 3;
-      n_clients = 3;
-      n_shards = 3;
-      seed;
-      script = txn_kill_script;
-      workload =
-        { Store.Workload.default_spec with n_keys = 24; think_time = 4.0 };
-      txns =
-        Some
-          {
-            Store.Cluster.default_txn_spec with
-            commit_mode = mode;
-            txns_per_client = 12;
-          };
-    }
+(* ---------- the entry list: one command per entry, in run order ---------- *)
 
-let txn_table_check ?(seeds = 8) () =
-  header
-    (Fmt.str
-       "TXN: coordinator-kill ablation — blocking 2PC vs Paxos Commit \
-        (3 shards x majority-3, 3 clients, 2 coordinators killed in the \
-        commit window, healed at t=701; %d seeds per mode)"
-       seeds);
-  Fmt.pr "%-8s %-6s %-8s %-8s %-9s %-9s %-10s %-7s %-9s@." "mode" "seed"
-    "acked" "failed" "decided" "blocked" "lat mean" "audit" "liveness";
-  let totals =
-    List.map
-      (fun mode ->
-        let blocked = ref 0 and dirty = ref 0 and dead = ref 0 in
-        let acked = ref 0 in
-        for seed = 1 to seeds do
-          let r = txn_run mode seed in
-          let live =
-            Harness.Check.liveness_after_heal ~script:txn_kill_script
-              ~completions:r.Store.Cluster.completions
-            = Ok ()
-          in
-          blocked := !blocked + List.length r.Store.Cluster.blocked_txns;
-          dirty := !dirty + List.length r.Store.Cluster.audit_violations;
-          acked := !acked + r.Store.Cluster.ok_txns;
-          if not live then incr dead;
-          Fmt.pr "%-8s %-6d %-8d %-8d %-9d %-9d %-10.2f %-7s %-9s@."
-            (Store.Txn.mode_label mode)
-            seed r.Store.Cluster.ok_txns r.Store.Cluster.failed_txns
-            r.Store.Cluster.decided_txns
-            (List.length r.Store.Cluster.blocked_txns)
-            r.Store.Cluster.txn_latency.Sim.Stats.mean
-            (if r.Store.Cluster.audit_violations = [] then "clean"
-             else "DIRTY")
-            (if live then "live" else "STUCK")
-        done;
-        (mode, !blocked, !dirty, !dead, !acked))
-      [ `Two_phase; `Paxos ]
-  in
-  Fmt.pr "@.";
-  List.iter
-    (fun (mode, blocked, dirty, dead, acked) ->
-      Fmt.pr
-        "%-8s TOTAL: %d acked, %d blocked txn(s), %d audit violation(s), %d \
-         stuck run(s)@."
-        (Store.Txn.mode_label mode)
-        acked blocked dirty dead)
-    totals;
-  let find m =
-    List.find (fun (mode, _, _, _, _) -> mode = m) totals
-  in
-  let _, b2, d2, _, _ = find `Two_phase in
-  let _, bp, dp, deadp, _ = find `Paxos in
-  Fmt.pr
-    "@.shape: the kill lands between prepare and decision, so 2PC \
-     participants stay prepared-but-undecided — locked and in doubt — until \
-     the coordinator returns (here: never inside the measurement window); \
-     Paxos Commit lets the prepared replicas elect a recovery leader over \
-     the same decision register and finish the commit, so nothing stays \
-     blocked once the partition heals, at no cost to the audit.@.";
-  Fmt.pr "@.gate: 2pc blocked > 0: %b; paxos blocked = 0: %b; audits clean: \
-          %b; paxos live after heal: %b@."
-    (b2 > 0) (bp = 0)
-    (d2 = 0 && dp = 0)
-    (deadp = 0);
-  b2 > 0 && bp = 0 && d2 = 0 && dp = 0 && deadp = 0
-
-let txn_table_cmd seeds =
-  if not (txn_table_check ~seeds ()) then (
-    Fmt.epr
-      "txn ablation gate FAILED: expected 2pc blocked > 0, paxos blocked = \
-       0, clean audits, paxos liveness after heal@.";
-    exit 1)
-
-(* ---------- Workload-aware quorum tuning ---------- *)
-
-let tune_table_check ?(seeds = 3) () =
-  header
-    (Fmt.str
-       "TUNE: workload-aware quorum optimizer + queue-aware read steering \
-        vs static majority (5 replicas, 4 clients, quorum targeting, \
-        fire-once; %d seeds per cell)"
-       seeds);
-  let rows = Store.Experiments.tune_table ~seeds () in
-  Fmt.pr "%-8s %-8s %-16s %-18s %-4s %-6s %-7s %-8s %-9s %-9s %-6s@." "env"
-    "mix" "mode" "strategy" "sw" "ok" "failed" "thruput" "read-mean" "read-p99"
-    "audit";
-  List.iter
-    (fun (r : Store.Experiments.tune_row) ->
-      Fmt.pr "%-8s %-8s %-16s %-18s %-4d %-6d %-7d %-8.4f %-9.2f %-9.2f %-6s@."
-        r.Store.Experiments.t_env r.t_mix r.t_mode r.t_strategy r.t_switches
-        r.t_ok_ops r.t_failed_ops r.t_throughput r.t_read_mean r.t_read_p99
-        (if r.t_audit_clean then "clean" else "DIRTY"))
-    rows;
-  let find env mix mode =
-    List.find
-      (fun (r : Store.Experiments.tune_row) ->
-        String.equal r.Store.Experiments.t_env env
-        && String.equal r.t_mix mix
-        && String.equal r.t_mode mode)
-      rows
-  in
-  let maj = find "uniform" "90/10" "majority" in
-  let opt = find "uniform" "90/10" "optimized" in
-  let smaj = find "slow-r4" "90/10" "majority" in
-  let ssteer = find "slow-r4" "90/10" "majority+steer" in
-  let audits =
-    List.for_all (fun (r : Store.Experiments.tune_row) -> r.t_audit_clean) rows
-  in
-  let opt_win =
-    Float.compare opt.Store.Experiments.t_throughput
-      maj.Store.Experiments.t_throughput
-    > 0
-    || Float.compare opt.Store.Experiments.t_read_p99
-         maj.Store.Experiments.t_read_p99
-       < 0
-  in
-  let adopted = opt.Store.Experiments.t_switches > 0 in
-  let steer_win =
-    Float.compare ssteer.Store.Experiments.t_read_p99
-      smaj.Store.Experiments.t_read_p99
-    < 0
-    || Float.compare ssteer.Store.Experiments.t_read_mean
-         smaj.Store.Experiments.t_read_mean
-       < 0
-  in
-  Fmt.pr
-    "@.shape: on the skewed mix the optimizer migrates the shard off \
-     majority onto a small-read-quorum strategy (writes pay a larger \
-     install quorum, but at 90/10 the read side dominates both load and \
-     latency); with a slow replica, steering routes reads around it using \
-     the per-replica latency EWMA + live queue depths, while random quorum \
-     picks keep paying its tax.  Every switch runs the joint-strategy \
-     transition + key migration, so the audits stay clean throughout.@.";
-  Fmt.pr
-    "@.gate: optimizer adopted a strategy: %b; optimized beats majority \
-     (throughput or read p99, 90/10): %b; steering beats random under \
-     slow-r4 (read p99 or mean): %b; audits clean: %b@."
-    adopted opt_win steer_win audits;
-  adopted && opt_win && steer_win && audits
-
-let tune_table_cmd seeds =
-  if not (tune_table_check ~seeds ()) then (
-    Fmt.epr
-      "tune ablation gate FAILED: expected an adopted strategy, an \
-       optimizer win vs majority on the skewed mix, a steering win with a \
-       slow replica, and clean audits@.";
-    exit 1)
-
-(* ---------- E11 Theorem 11 ---------- *)
-
-let theorem11_table seeds =
-  header
-    (Fmt.str
-       "E11: one-copy serializability of concurrent replicated runs (%d seeds \
-        per mode)"
-       seeds);
-  Fmt.pr "%-8s %-10s %-10s %-12s %-12s %-10s@." "mode" "pass" "commits"
-    "aborted" "peak-conc" "verdict";
-  List.iter
-    (fun (name, mode, expect_pass) ->
-      let pass = ref 0 and commits = ref 0 and aborted = ref 0 and peak = ref 0 in
-      for seed = 1 to seeds do
-        match Cc.Harness.run_and_check ~mode ~seed () with
-        | Ok r ->
-            incr pass;
-            commits := !commits + r.Cc.Harness.committed_tops;
-            aborted := !aborted + r.aborted_nodes;
-            peak := max !peak r.peak_concurrency
-        | Error _ -> ()
-      done;
-      let verdict =
-        if expect_pass then (if !pass = seeds then "OK" else "FAIL")
-        else if !pass < seeds then "violations found (expected)"
-        else "UNEXPECTEDLY CLEAN"
-      in
-      Fmt.pr "%-8s %3d/%-6d %-10d %-12d %-12d %-10s@." name !pass seeds !commits
-        !aborted !peak verdict)
-    [ ("2PL", `TwoPL, true); ("MVTO", `Mvto, true); ("none", `NoCC, false) ]
-
-let all seeds =
-  formal_table seeds;
-  theorem11_table (min seeds 30);
-  availability_table ();
-  latency_table ();
-  crossover_table ();
-  gifford_table ();
-  reconfig_table ();
-  adt_table ();
-  vp_table ();
-  coterie_table ();
-  repair_table ();
-  optimal_table ();
-  load_table ();
-  retry_table ();
-  shards_table ();
-  batch_table ();
-  attribution_table_cmd ();
-  ignore (io_table_check ());
-  window_table_cmd ();
-  ignore (txn_table_check ~seeds:4 ());
-  ignore (tune_table_check ~seeds:2 ());
-  exhaustive_table ()
+let entries =
+  [
+    seeded "e5" "Formal checks (Lemmas 5-8, Thm 10, recon) on N random systems"
+      100 formal;
+    seeded "theorem11" "E11 serializability table, N seeds per mode" 30
+      theorem11;
+    fixed "availability" "Q1 availability sweep" availability;
+    fixed "latency" "Q2 latency by strategy" latency;
+    fixed "crossover" "Q3 rowa/majority crossover" crossover;
+    fixed "gifford" "G1-G3 weighted-voting examples" gifford;
+    fixed "reconfig" "Q4 reconfiguration experiment" reconfig;
+    fixed "adt" "E13 ADT general quorum consensus (extension)" adt;
+    fixed "vp" "E14 virtual partitions (extension)" vp;
+    fixed "coterie" "Coterie quality analysis" coterie;
+    fixed "repair" "Read-repair anti-entropy experiment" repair;
+    fixed "optimal" "Optimal vote assignments" optimal;
+    fixed "load" "Broadcast vs targeted quorums (load/messages)" load;
+    fixed "retry" "Retry/backoff/hedging policy ablation" retry;
+    seeded "shards"
+      "Shard-balance ablation (1/2/4 shards); N > 1 averages the \
+       availability cells over N consecutive seeds, reporting min/mean"
+      1 shards;
+    fixed "batch" "Multi-key batching ablation" batch;
+    fixed "attribution"
+      "Latency-attribution ablation (loss x burst phase decomposition)"
+      attribution;
+    fixed "io"
+      "Replica io-pipeline ablation (gated: group commit amortizes fsyncs >= \
+       2x vs naive, every audit clean)"
+      io;
+    fixed "window" "Adaptive batching-window ablation" window;
+    seeded "txn"
+      "Cross-shard commit ablation: 2PC vs Paxos Commit under coordinator \
+       kills, N seeds per mode (gated: 2PC blocks, Paxos Commit does not, \
+       every audit is clean, and Paxos regains liveness after the heal)"
+      8 txn;
+    seeded "tune"
+      "Workload-aware quorum tuning ablation: optimizer + read steering vs \
+       static majority, N seeds per cell (gated: the optimizer adopts a \
+       strategy and beats majority on the skewed mix, steering beats random \
+       picks with a slow replica, and every audit is clean)"
+      3 tune;
+    fixed "exhaustive" "EX exhaustive verification" exhaustive;
+  ]
 
 (* ---------- CLI ---------- *)
 
 open Cmdliner
 
-let seeds =
-  let doc = "Number of random-system seeds for the formal checks." in
-  Arg.(value & opt int 100 & info [ "seeds" ] ~doc)
+let positive =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= 1 -> Ok n
+    | _ -> Error (`Msg (Fmt.str "expected a positive integer, got %S" s))
+  in
+  Arg.conv ~docv:"N" (parse, Fmt.int)
 
-let cmd_of name f doc =
-  Cmd.v (Cmd.info name ~doc) Term.(const f $ const ())
+let command e =
+  let seeds =
+    match e.seeds with
+    | None -> Term.const 0
+    | Some default ->
+        Arg.(
+          value & opt positive default
+          & info [ "seeds" ] ~docv:"N" ~doc:"Seed count.")
+  in
+  Cmd.v (Cmd.info e.name ~doc:e.doc)
+    Term.(const (fun seeds -> report [ (e, seeds) ]) $ seeds)
 
-let () =
-  let default = Term.(const all $ seeds) in
-  let cmds =
-    [
-      Cmd.v (Cmd.info "e5" ~doc:"Formal checks (Lemmas 5-8, Thm 10, recon)")
-        Term.(const formal_table $ seeds);
-      cmd_of "availability" availability_table "Q1 availability sweep";
-      cmd_of "latency" latency_table "Q2 latency by strategy";
-      cmd_of "crossover" crossover_table "Q3 rowa/majority crossover";
-      cmd_of "gifford" gifford_table "G1-G3 weighted-voting examples";
-      cmd_of "reconfig" reconfig_table "Q4 reconfiguration experiment";
-      cmd_of "adt" adt_table "E13 ADT general quorum consensus (extension)";
-      cmd_of "vp" vp_table "E14 virtual partitions (extension)";
-      cmd_of "coterie" coterie_table "Coterie quality analysis";
-      cmd_of "repair" repair_table "Read-repair anti-entropy experiment";
-      cmd_of "exhaustive" exhaustive_table "EX exhaustive verification";
-      cmd_of "optimal" optimal_table "Optimal vote assignments";
-      cmd_of "load" load_table "Broadcast vs targeted quorums (load/messages)";
-      cmd_of "retry" retry_table "Retry/backoff/hedging policy ablation";
-      Cmd.v
-        (Cmd.info "shards" ~doc:"Shard-balance ablation (1/2/4 shards)")
-        Term.(
-          const (fun seeds -> shards_table ~seeds ())
-          $ Arg.(
-              value & opt int 1
-              & info [ "seeds" ]
-                  ~doc:
-                    "Average the availability cells over $(docv) consecutive \
-                     seeds, reporting min/mean per cell."));
-      cmd_of "batch" batch_table "Multi-key batching ablation";
-      cmd_of "attribution" attribution_table_cmd
-        "Latency-attribution ablation (loss x burst phase decomposition)";
-      cmd_of "io" io_table_cmd
-        "Replica io-pipeline ablation (exits 1 if group commit amortizes \
-         fsyncs < 2x vs naive, or any audit is dirty)";
-      cmd_of "window" window_table_cmd "Adaptive batching-window ablation";
-      Cmd.v
-        (Cmd.info "txn"
-           ~doc:
-             "Cross-shard commit ablation: 2PC vs Paxos Commit under \
-              coordinator kills (exits 1 unless 2PC blocks, Paxos Commit \
-              does not, every audit is clean, and Paxos regains liveness \
-              after the heal)")
-        Term.(
-          const txn_table_cmd
-          $ Arg.(
-              value & opt int 8
-              & info [ "seeds" ] ~doc:"Seeds per commit mode."));
-      Cmd.v
-        (Cmd.info "tune"
-           ~doc:
-             "Workload-aware quorum tuning ablation: optimizer + read \
-              steering vs static majority (exits 1 unless the optimizer \
-              adopts a strategy and beats majority on the skewed mix, \
-              steering beats random picks with a slow replica, and every \
-              audit is clean)")
-        Term.(
-          const tune_table_cmd
-          $ Arg.(
-              value & opt int 3
-              & info [ "seeds" ] ~doc:"Seeds averaged per cell."));
-      Cmd.v (Cmd.info "theorem11" ~doc:"E11 serializability table")
-        Term.(const theorem11_table $ Arg.(value & opt int 30 & info [ "seeds" ]));
-    ]
+let main () =
+  let all () =
+    report (List.map (fun e -> (e, Option.value e.seeds ~default:0)) entries)
   in
   exit
-    (Cmd.eval
-       (Cmd.group ~default
-          (Cmd.info "tables" ~doc:"Regenerate the experiment tables")
-          cmds))
+    (Cmd.eval'
+       (Cmd.group
+          ~default:Term.(const all $ const ())
+          (Cmd.info "tables"
+             ~doc:
+               "Regenerate the experiment tables: a command prints one, no \
+                command prints all")
+          (List.map command entries)))
+
+let () = main ()

@@ -286,35 +286,29 @@ let run_attribution seed replicas clients ops loss shards burst batch_window
     if json then
       emit (Obs.Json.to_string (Obs.Attribution.report_to_json bs) ^ "\n")
     else begin
-      let buf = Buffer.create 1024 in
-      let add fmt = Fmt.kstr (Buffer.add_string buf) fmt in
-      add "attributed %d of %d operations@\n" (List.length bs) total_ops;
-      add "%-10s %6s %9s" "shard" "ops" "wall";
-      List.iter
-        (fun p -> add " %8s" (Obs.Attribution.phase_label p))
-        Obs.Attribution.phases;
-      add "@\n";
-      List.iter
-        (fun shard ->
-          let mine =
-            List.filter (fun b -> b.Obs.Attribution.shard = shard) bs
-          in
-          let n = List.length mine in
-          let wall_mean =
-            List.fold_left (fun a b -> a +. Obs.Attribution.wall b) 0.0 mine
-            /. float_of_int n
-          in
-          add "%-10s %6d %9.3f"
-            (match shard with
-            | Some s -> Fmt.str "s%d" s
-            | None -> "-")
-            n wall_mean;
-          List.iter
-            (fun (_, d) -> add " %8.3f" d)
-            (Obs.Attribution.mean_by_phase mine);
-          add "@\n")
-        (Obs.Attribution.shards bs);
-      emit (Buffer.contents buf)
+      let row shard =
+        let mine = List.filter (fun b -> b.Obs.Attribution.shard = shard) bs in
+        let n = List.length mine in
+        let wall_mean =
+          List.fold_left (fun a b -> a +. Obs.Attribution.wall b) 0.0 mine
+          /. float_of_int n
+        in
+        (match shard with Some s -> Fmt.str "s%d" s | None -> "-")
+        :: string_of_int n :: Fmt.str "%.3f" wall_mean
+        :: List.map
+             (fun (_, d) -> Fmt.str "%.3f" d)
+             (Obs.Attribution.mean_by_phase mine)
+      in
+      let header =
+        "shard" :: "ops" :: "wall"
+        :: List.map Obs.Attribution.phase_label Obs.Attribution.phases
+      in
+      emit
+        (String.concat "\n"
+           (Fmt.str "attributed %d of %d operations" (List.length bs) total_ops
+           :: Table.lines ~header
+                (List.map row (Obs.Attribution.shards bs)))
+        ^ "\n")
     end;
     0
   end

@@ -8,15 +8,13 @@ module Core = Sim.Core
 module Net = Sim.Net
 
 (** The strategy menu used across experiments. *)
-let menu n : (string * Strategy.t) list =
+let menu : (string * Strategy.t) list =
   [
-    ("read-one/write-all", Strategy.rowa n);
-    ("majority", Strategy.majority n);
+    ("read-one/write-all", Strategy.rowa 5);
+    ("majority", Strategy.majority 5);
     ( "weighted(2,1,1,1,1) r=2 w=5",
-      if n = 5 then
-        Strategy.weighted ~name:"weighted" ~votes:[| 2; 1; 1; 1; 1 |] ~r:2 ~w:5
-      else Strategy.majority n );
-    ("primary-copy", Strategy.primary n);
+      Strategy.weighted ~name:"weighted" ~votes:[| 2; 1; 1; 1; 1 |] ~r:2 ~w:5 );
+    ("primary-copy", Strategy.primary 5);
   ]
 
 (** {1 Q1 — availability vs. per-site availability p} *)
@@ -29,8 +27,7 @@ type availability_row = {
   simulated : float;  (** measured op success rate under crash/recover *)
 }
 
-let availability_sweep ?(n = 5) ?(ps = [ 0.5; 0.7; 0.8; 0.9; 0.95; 0.99 ])
-    ?(seed = 11) () : availability_row list =
+let availability_sweep () : availability_row list =
   List.concat_map
     (fun (name, strat) ->
       List.map
@@ -43,14 +40,14 @@ let availability_sweep ?(n = 5) ?(ps = [ 0.5; 0.7; 0.8; 0.9; 0.95; 0.99 ])
             Cluster.run
               {
                 Cluster.default_params with
-                n_replicas = n;
+                n_replicas = 5;
                 strategy = (fun _ -> strat);
                 script =
                   [ Harness.Script.Crash_storm { Sim.Failure.mtbf; mttr } ];
                 timeout = 60.0;
                 workload =
                   { Workload.default_spec with ops_per_client = 400; read_fraction = 0.5 };
-                seed;
+                seed = 11;
               }
           in
           {
@@ -60,8 +57,8 @@ let availability_sweep ?(n = 5) ?(ps = [ 0.5; 0.7; 0.8; 0.9; 0.95; 0.99 ])
             write_analytic;
             simulated = Cluster.availability r;
           })
-        ps)
-    (menu n)
+        [ 0.5; 0.7; 0.8; 0.9; 0.95; 0.99 ])
+    menu
 
 (** {1 Q2 — latency by strategy} *)
 
@@ -73,18 +70,18 @@ type latency_row = {
   write : Sim.Stats.summary;
 }
 
-let latency_table ?(n = 5) ?(seed = 23) () : latency_row list =
+let latency_table () : latency_row list =
   List.map
     (fun (name, strat) ->
       let r =
         Cluster.run
           {
             Cluster.default_params with
-            n_replicas = n;
+            n_replicas = 5;
             strategy = (fun _ -> strat);
             workload =
               { Workload.default_spec with ops_per_client = 500; read_fraction = 0.5 };
-            seed;
+            seed = 23;
           }
       in
       {
@@ -94,7 +91,7 @@ let latency_table ?(n = 5) ?(seed = 23) () : latency_row list =
         read = r.Cluster.reads;
         write = r.Cluster.writes;
       })
-    (menu n)
+    menu
 
 (** {1 Q3 — crossover: who wins at which read fraction} *)
 
@@ -114,9 +111,7 @@ let mean_op_latency (r : Cluster.results) =
   let n = tr.Sim.Stats.count + tw.Sim.Stats.count in
   if n = 0 then nan else (weighted tr +. weighted tw) /. float_of_int n
 
-let crossover ?(n = 5) ?(seed = 31)
-    ?(fractions = [ 0.0; 0.25; 0.5; 0.75; 0.9; 0.99 ]) () : crossover_row list
-    =
+let crossover () : crossover_row list =
   List.map
     (fun f ->
       let run strat =
@@ -124,7 +119,7 @@ let crossover ?(n = 5) ?(seed = 31)
           (Cluster.run
              {
                Cluster.default_params with
-               n_replicas = n;
+               n_replicas = 5;
                strategy = strat;
                workload =
                  {
@@ -132,7 +127,7 @@ let crossover ?(n = 5) ?(seed = 31)
                    ops_per_client = 400;
                    read_fraction = f;
                  };
-               seed;
+               seed = 31;
              })
       in
       let rowa = run Strategy.rowa and majority = run Strategy.majority in
@@ -142,7 +137,7 @@ let crossover ?(n = 5) ?(seed = 31)
         majority_mean = majority;
         winner = (if rowa < majority then "read-one/write-all" else "majority");
       })
-    fractions
+    [ 0.0; 0.25; 0.5; 0.75; 0.9; 0.99 ]
 
 (** {1 G1-G3 — weighted-voting configurations in the style of
     Gifford's examples} *)
@@ -160,7 +155,7 @@ type gifford_row = {
   write_latency : float;
 }
 
-let gifford_examples ?(seed = 47) () : gifford_row list =
+let gifford_examples () : gifford_row list =
   let cases =
     [
       (* read-optimized: reads anywhere, writes everywhere *)
@@ -185,7 +180,7 @@ let gifford_examples ?(seed = 47) () : gifford_row list =
             strategy = (fun _ -> strat);
             workload =
               { Workload.default_spec with ops_per_client = 400; read_fraction = 0.5 };
-            seed;
+            seed = 47;
           }
       in
       {
@@ -215,7 +210,9 @@ let gifford_examples ?(seed = 47) () : gifford_row list =
 
 type reconfig_row = { phase : string; ok : int; failed : int; rate : float }
 
-let reconfig_experiment ?(seed = 53) () : reconfig_row list =
+(* five replicas r0-r4 and one client c0 (timeout 50) on a lognormal
+   network, hand-driven by the Q4 and read-repair timelines *)
+let one_client_cluster ~seed ~strategy ~read_repair =
   let sim = Core.create ~seed in
   let replica_names = List.init 5 (fun i -> Fmt.str "r%d" i) in
   let net =
@@ -226,20 +223,26 @@ let reconfig_experiment ?(seed = 53) () : reconfig_row list =
   in
   let replicas = List.map (fun name -> Replica.create ~name ()) replica_names in
   List.iter (fun r -> Replica.attach r ~net) replicas;
+  let client =
+    Client.create ~name:"c0" ~sim ~net
+      ~replicas:(Array.of_list replica_names)
+      ~strategy ~timeout:50.0 ~read_repair ()
+  in
+  Client.attach client;
+  (sim, net, replica_names, replicas, client)
+
+let reconfig_experiment () : reconfig_row list =
+  let seed = 53 in
   (* old configuration: read-one/write-all — writes reach every
      replica, so any survivor set holds the latest data *)
-  let old_strategy = Strategy.rowa 5 in
+  let sim, net, _, _, client =
+    one_client_cluster ~seed ~strategy:(Strategy.rowa 5) ~read_repair:false
+  in
   (* new configuration: majority over the three survivors r0-r2 *)
   let new_strategy =
     Strategy.weighted ~name:"survivors-majority" ~votes:[| 1; 1; 1; 0; 0 |]
       ~r:2 ~w:2
   in
-  let client =
-    Client.create ~name:"c0" ~sim ~net
-      ~replicas:(Array.of_list replica_names)
-      ~strategy:old_strategy ~timeout:50.0 ()
-  in
-  Client.attach client;
   let phases = Hashtbl.create 4 in
   let phase = ref "A-healthy" in
   let record ok =
@@ -322,24 +325,12 @@ type repair_row = {
   repairs_sent : int;
 }
 
-let read_repair_experiment ?(seed = 61) () : repair_row list =
+let read_repair_experiment () : repair_row list =
+  let seed = 61 in
   let run_one ~read_repair =
-    let sim = Core.create ~seed in
-    let replica_names = List.init 5 (fun i -> Fmt.str "r%d" i) in
-    let net =
-      Net.create ~sim
-        ~nodes:(replica_names @ [ "c0" ])
-        ~latency:(Net.lognormal_latency ~mu:1.0 ~sigma:0.5)
-        ()
+    let sim, net, replica_names, replicas, client =
+      one_client_cluster ~seed ~strategy:(Strategy.majority 5) ~read_repair
     in
-    let replicas = List.map (fun name -> Replica.create ~name ()) replica_names in
-    List.iter (fun r -> Replica.attach r ~net) replicas;
-    let client =
-      Client.create ~name:"c0" ~sim ~net
-        ~replicas:(Array.of_list replica_names)
-        ~strategy:(Strategy.majority 5) ~timeout:50.0 ~read_repair ()
-    in
-    Client.attach client;
     let keys = List.init 8 (fun i -> Fmt.str "k%d" i) in
     let rng = Prng.create (seed lxor 0x5e) in
     (* failure-heavy write phase until t=800 *)
@@ -427,9 +418,7 @@ type optimum_row = {
   majority_score : float;
 }
 
-let optimal_configurations ?(n = 5)
-    ?(ps = [ 0.8; 0.9; 0.99 ]) ?(fractions = [ 0.1; 0.5; 0.9 ]) () :
-    optimum_row list =
+let optimal_configurations () : optimum_row list =
   (* non-increasing vote vectors, entries 0..3, at least one positive *)
   let rec vote_vectors k maxv =
     if k = 0 then [ [] ]
@@ -443,7 +432,7 @@ let optimal_configurations ?(n = 5)
       (fun votes ->
         let total = List.fold_left ( + ) 0 votes in
         if total = 0 then None else Some (votes, total))
-      (vote_vectors n 3)
+      (vote_vectors 5 3)
   in
   let score strat ~p ~f =
     let ar, aw = Strategy.availability strat ~p in
@@ -478,11 +467,11 @@ let optimal_configurations ?(n = 5)
             r;
             w;
             score = s;
-            rowa_score = score (Strategy.rowa n) ~p ~f;
-            majority_score = score (Strategy.majority n) ~p ~f;
+            rowa_score = score (Strategy.rowa 5) ~p ~f;
+            majority_score = score (Strategy.majority 5) ~p ~f;
           })
-        fractions)
-    ps
+        [ 0.1; 0.5; 0.9 ])
+    [ 0.8; 0.9; 0.99 ]
 
 (** {1 Broadcast vs targeted quorums: messages, load, latency}
 
@@ -503,7 +492,15 @@ type load_row = {
       (** max replica load / mean replica load (1.0 = perfectly flat) *)
 }
 
-let load_table ?(seed = 83) () : load_row list =
+(* max load / mean load (1.0 = perfectly flat) *)
+let imbalance loads =
+  let mean =
+    float_of_int (List.fold_left ( + ) 0 loads)
+    /. float_of_int (List.length loads)
+  in
+  if mean > 0.0 then float_of_int (List.fold_left max 0 loads) /. mean else nan
+
+let load_table () : load_row list =
   let n = 6 in
   let strategies =
     [
@@ -528,24 +525,44 @@ let load_table ?(seed = 83) () : load_row list =
                 targeting;
                 workload =
                   { Workload.default_spec with ops_per_client = 400; read_fraction = 0.8 };
-                seed;
+                seed = 83;
               }
           in
-          let loads = List.map snd r.Cluster.replica_loads in
-          let total = List.fold_left ( + ) 0 loads in
-          let mean = float_of_int total /. float_of_int n in
-          let hi = List.fold_left max 0 loads in
           {
             strategy_name = name;
             mode;
             messages = r.Cluster.net.Sim.Net.sent;
             read_mean = r.Cluster.reads.Sim.Stats.mean;
             availability = Cluster.availability r;
-            load_imbalance =
-              (if mean > 0.0 then float_of_int hi /. mean else nan);
+            load_imbalance = imbalance (List.map snd r.Cluster.replica_loads);
           })
         [ ("broadcast", `Broadcast); ("targeted", `Quorum) ])
     strategies
+
+(** {1 Run outcomes}
+
+    What every ablation row reports about its runs besides its own
+    measure: operations that succeeded and failed, whether the
+    consistency audit stayed clean, and the wire traffic. *)
+
+type outcome = {
+  ok_ops : int;
+  failed_ops : int;
+  audit_clean : bool;  (** every run's consistency audit passed *)
+  messages : int;  (** wire messages *)
+  payloads : int;  (** logical requests carried *)
+}
+
+let outcome_of (rs : Cluster.results list) =
+  let sum f = List.fold_left (fun acc r -> acc + f r) 0 rs in
+  {
+    ok_ops = sum (fun r -> r.Cluster.ok_reads + r.Cluster.ok_writes);
+    failed_ops =
+      sum (fun r -> r.Cluster.failed_reads + r.Cluster.failed_writes);
+    audit_clean = List.for_all (fun r -> r.Cluster.audit_violations = []) rs;
+    messages = sum (fun r -> r.Cluster.net.Sim.Net.sent);
+    payloads = sum (fun r -> r.Cluster.net.Sim.Net.payload_sent);
+  }
 
 (** {1 Ablation — retry/backoff/hedging policy under adverse networks}
 
@@ -559,17 +576,14 @@ let load_table ?(seed = 83) () : load_row list =
 type retry_row = {
   policy_name : string;
   condition : string;
-  ok_ops : int;
-  failed_ops : int;
   success_rate : float;
   read_mean : float;
-  messages : int;
   retries : int;
   hedges : int;
-  audit_clean : bool;
+  outcome : outcome;
 }
 
-let retry_policy_table ?(seed = 77) () : retry_row list =
+let retry_policy_table () : retry_row list =
   let policies =
     [
       ("fire-once", Rpc.Policy.default);
@@ -604,7 +618,7 @@ let retry_policy_table ?(seed = 77) () : retry_row list =
                     ops_per_client = 150;
                     read_fraction = 0.5;
                   };
-                seed;
+                seed = 77;
               }
           in
           (* the engine's counters are per client; re-fetching the same
@@ -621,19 +635,14 @@ let retry_policy_table ?(seed = 77) () : retry_row list =
               0
               (List.init n_clients Fun.id)
           in
-          let ok = r.Cluster.ok_reads + r.Cluster.ok_writes in
-          let failed = r.Cluster.failed_reads + r.Cluster.failed_writes in
           {
             policy_name;
             condition;
-            ok_ops = ok;
-            failed_ops = failed;
             success_rate = Cluster.availability r;
             read_mean = r.Cluster.reads.Sim.Stats.mean;
-            messages = r.Cluster.net.Sim.Net.sent;
             retries = sum "rpc.retries";
             hedges = sum "rpc.hedges";
-            audit_clean = r.Cluster.audit_violations = [];
+            outcome = outcome_of [ r ];
           })
         conditions)
     policies
@@ -671,11 +680,10 @@ type shard_row = {
 }
 
 (** The sharding ablation.  [seeds] (default 1) averages the
-    availability cells over [seed .. seed + seeds - 1], reporting
+    availability cells over seeds 91 .. 91 + seeds - 1, reporting
     min/mean per cell; the load/message columns come from the base
-    seed's run, so a single-seed table is unchanged.  The shard kill
-    is the legacy nemesis expressed as a harness script. *)
-let shard_table ?(seed = 91) ?(seeds = 1) () : shard_row list =
+    seed's run, so a single-seed table is unchanged. *)
+let shard_table ?(seeds = 1) () : shard_row list =
   if seeds < 1 then invalid_arg "Experiments.shard_table: seeds must be >= 1";
   let mk n_shards seed script =
     Cluster.run
@@ -696,7 +704,7 @@ let shard_table ?(seed = 91) ?(seeds = 1) () : shard_row list =
         script;
       }
   in
-  let seed_list = List.init seeds (fun i -> seed + i) in
+  let seed_list = List.init seeds (fun i -> 91 + i) in
   let min_mean xs =
     ( List.fold_left Float.min infinity xs,
       List.fold_left ( +. ) 0.0 xs /. float_of_int (List.length xs) )
@@ -718,26 +726,16 @@ let shard_table ?(seed = 91) ?(seeds = 1) () : shard_row list =
         min_mean (List.map Cluster.availability kill_runs)
       in
       let loads = List.map snd r.Cluster.replica_loads in
-      let n_total = List.length loads in
-      let total = List.fold_left ( + ) 0 loads in
-      let mean = float_of_int total /. float_of_int n_total in
-      let hi = List.fold_left max 0 loads in
-      let shard_loads =
-        List.map (fun (s : Cluster.shard_stat) -> s.Cluster.load) r.Cluster.shards
-      in
-      let smean =
-        float_of_int (List.fold_left ( + ) 0 shard_loads)
-        /. float_of_int n_shards
-      in
-      let shi = List.fold_left max 0 shard_loads in
       {
         n_shards;
-        total_replicas = n_total;
+        total_replicas = List.length loads;
         messages = r.Cluster.net.Sim.Net.sent;
-        replica_imbalance =
-          (if mean > 0.0 then float_of_int hi /. mean else nan);
+        replica_imbalance = imbalance loads;
         shard_spread =
-          (if smean > 0.0 then float_of_int shi /. smean else nan);
+          imbalance
+            (List.map
+               (fun (s : Cluster.shard_stat) -> s.Cluster.load)
+               r.Cluster.shards);
         availability = mean_avail;
         min_availability = min_avail;
         kill_availability = mean_kill;
@@ -758,16 +756,12 @@ let shard_table ?(seed = 91) ?(seeds = 1) () : shard_row list =
 type batch_row = {
   zipf_label : string;
   mode : string;  (** "unbatched" or "batched w=&lt;window&gt;" *)
-  b_messages : int;  (** wire messages *)
-  b_payloads : int;  (** logical requests carried *)
   read_p95 : float;
   write_p95 : float;
-  b_ok_ops : int;
-  b_failed_ops : int;
-  b_audit_clean : bool;
+  outcome : outcome;
 }
 
-let batching_table ?(seed = 97) () : batch_row list =
+let batching_table () : batch_row list =
   let window = 1.0 in
   List.concat_map
     (fun (zipf_label, zipf_s) ->
@@ -785,19 +779,15 @@ let batching_table ?(seed = 97) () : batch_row list =
                     burst = 8;
                     ops_per_client = 200;
                   };
-                seed;
+                seed = 97;
               }
           in
           {
             zipf_label;
             mode;
-            b_messages = r.Cluster.net.Sim.Net.sent;
-            b_payloads = r.Cluster.net.Sim.Net.payload_sent;
             read_p95 = r.Cluster.reads.Sim.Stats.p95;
             write_p95 = r.Cluster.writes.Sim.Stats.p95;
-            b_ok_ops = r.Cluster.ok_reads + r.Cluster.ok_writes;
-            b_failed_ops = r.Cluster.failed_reads + r.Cluster.failed_writes;
-            b_audit_clean = r.Cluster.audit_violations = [];
+            outcome = outcome_of [ r ];
           })
         [ ("unbatched", None); (Fmt.str "batched w=%g" window, Some window) ])
     [ ("uniform (s=0)", 0.0); ("zipf s=1.1", 1.1) ]
@@ -821,12 +811,10 @@ type io_row = {
   io_fsyncs_per_install : float;
   io_write_mean : float;
   io_write_p95 : float;
-  io_ok_ops : int;
-  io_failed_ops : int;
-  io_audit_clean : bool;
+  outcome : outcome;
 }
 
-let io_table ?(seed = 42) () : io_row list =
+let io_table () : io_row list =
   let params ~storage ~group_commit =
     {
       Cluster.default_params with
@@ -843,7 +831,7 @@ let io_table ?(seed = 42) () : io_row list =
       storage_cost = (if storage then 0.05 else 0.0);
       fsync_cost = (if storage then 5.0 else 0.0);
       group_commit;
-      seed;
+      seed = 42;
     }
   in
   List.map
@@ -859,9 +847,7 @@ let io_table ?(seed = 42) () : io_row list =
              float_of_int r.Cluster.fsyncs /. float_of_int r.Cluster.installs);
         io_write_mean = r.Cluster.writes.Sim.Stats.mean;
         io_write_p95 = r.Cluster.writes.Sim.Stats.p95;
-        io_ok_ops = r.Cluster.ok_reads + r.Cluster.ok_writes;
-        io_failed_ops = r.Cluster.failed_reads + r.Cluster.failed_writes;
-        io_audit_clean = r.Cluster.audit_violations = [];
+        outcome = outcome_of [ r ];
       })
     [
       ("no-storage", false, true);
@@ -884,81 +870,60 @@ let io_table ?(seed = 42) () : io_row list =
 type window_row = {
   w_workload : string;  (** "burst-8 zipf" or "uniform low-rate" *)
   w_mode : string;  (** "unbatched", "static w=...", "adaptive" *)
-  w_messages : int;  (** wire messages *)
-  w_payloads : int;  (** logical requests carried *)
   w_op_mean : float;  (** mean latency over all successful ops *)
-  w_ok_ops : int;
-  w_failed_ops : int;
-  w_audit_clean : bool;
+  outcome : outcome;
 }
 
-let window_statics = [ 0.5; 1.0; 2.0; 4.0 ]
-
-let window_table ?(seed = 42) () : window_row list =
-  let base ~bursty =
-    if bursty then
-      {
-        Cluster.default_params with
-        n_replicas = 3;
-        n_clients = 4;
-        workload =
-          {
-            Workload.default_spec with
-            ops_per_client = 60;
-            read_fraction = 0.7;
-            zipf_s = 1.1;
-            burst = 8;
-          };
-        seed;
-      }
-    else
-      {
-        Cluster.default_params with
-        n_replicas = 3;
-        n_clients = 4;
-        workload =
-          {
-            Workload.default_spec with
-            ops_per_client = 60;
-            read_fraction = 0.9;
-            zipf_s = 0.0;
-            think_time = 10.0;
-            burst = 1;
-          };
-        seed;
-      }
+let window_table () : window_row list =
+  let bursty =
+    {
+      Workload.default_spec with
+      ops_per_client = 60;
+      read_fraction = 0.7;
+      zipf_s = 1.1;
+      burst = 8;
+    }
+  and low_rate =
+    {
+      Workload.default_spec with
+      ops_per_client = 60;
+      read_fraction = 0.9;
+      zipf_s = 0.0;
+      think_time = 10.0;
+      burst = 1;
+    }
   in
   let modes =
-    ("unbatched", `Unbatched)
-    :: List.map (fun w -> (Fmt.str "static w=%g" w, `Static w)) window_statics
-    @ [ ("adaptive", `Adaptive) ]
+    ("unbatched", None, None)
+    :: List.map
+         (fun w -> (Fmt.str "static w=%g" w, Some w, None))
+         [ 0.5; 1.0; 2.0; 4.0 ]
+    @ [ ("adaptive", None, Some Rpc.Window.default_config) ]
   in
   List.concat_map
-    (fun (w_workload, bursty) ->
+    (fun (w_workload, workload) ->
       List.map
-        (fun (w_mode, m) ->
-          let p = base ~bursty in
-          let p =
-            match m with
-            | `Unbatched -> p
-            | `Static w -> { p with Cluster.batch_window = Some w }
-            | `Adaptive ->
-                { p with
-                  Cluster.adaptive_window = Some Rpc.Window.default_config }
+        (fun (w_mode, batch_window, adaptive_window) ->
+          let r =
+            Cluster.run
+              {
+                Cluster.default_params with
+                n_replicas = 3;
+                n_clients = 4;
+                workload;
+                batch_window;
+                adaptive_window;
+                seed = 42;
+              }
           in
-          let r = Cluster.run p in
           {
             w_workload;
             w_mode;
-            w_messages = r.Cluster.net.Sim.Net.sent;
-            w_payloads = r.Cluster.net.Sim.Net.payload_sent;
             w_op_mean = mean_op_latency r;
-            w_ok_ops = r.Cluster.ok_reads + r.Cluster.ok_writes;
-            w_failed_ops = r.Cluster.failed_reads + r.Cluster.failed_writes;
-            w_audit_clean = r.Cluster.audit_violations = [];
+            outcome = outcome_of [ r ];
           })
         modes)
-    [ ("burst-8 zipf", true); ("uniform low-rate", false) ]
+    [ ("burst-8 zipf", bursty); ("uniform low-rate", low_rate) ]
 
 (** {1 Ablation — latency attribution}
 
@@ -980,12 +945,10 @@ type attr_row = {
   a_phase_means : (Obs.Attribution.phase * float) list;
       (** mean time units per op per phase, in {!Obs.Attribution.phases}
           order; sums to [a_wall_mean] up to float error *)
-  a_ok_ops : int;
-  a_failed_ops : int;
-  a_audit_clean : bool;
+  outcome : outcome;
 }
 
-let attribution_table ?(seed = 42) () : attr_row list =
+let attribution_table () : attr_row list =
   List.concat_map
     (fun (loss_label, loss) ->
       List.map
@@ -1018,7 +981,7 @@ let attribution_table ?(seed = 42) () : attr_row list =
                     zipf_s = 1.1;
                     burst;
                   };
-                seed;
+                seed = 42;
               }
           in
           let bs =
@@ -1036,12 +999,87 @@ let attribution_table ?(seed = 42) () : attr_row list =
             a_ops = n;
             a_wall_mean = wall_mean;
             a_phase_means = Obs.Attribution.mean_by_phase bs;
-            a_ok_ops = r.Cluster.ok_reads + r.Cluster.ok_writes;
-            a_failed_ops = r.Cluster.failed_reads + r.Cluster.failed_writes;
-            a_audit_clean = r.Cluster.audit_violations = [];
+            outcome = outcome_of [ r ];
           })
         [ ("burst=1", 1); ("burst=8", 8) ])
     [ ("loss=0%", 0.0); ("loss=30%", 0.3) ]
+
+(** {1 Ablation — cross-shard commit under coordinator kills}
+
+    Blocking 2PC vs Paxos Commit on 3 shards of majority-3 with 3
+    client-coordinators, two of which die inside the commit window.
+    2PC participants stay prepared-but-undecided until the
+    coordinator returns; Paxos Commit lets them elect a recovery
+    leader over the same decision register, so nothing stays blocked
+    and liveness returns once the network heals. *)
+
+let txn_kill_script =
+  Harness.Script.
+    [
+      At (30.0, Crash "c0");
+      At (55.0, Crash "c1");
+      At (700.0, Recover "c0");
+      At (700.0, Recover "c1");
+      At (701.0, Heal);
+    ]
+
+type txn_row = {
+  commit_mode : Txn.mode;
+  txn_seed : int;
+  acked : int;  (** client-acked commits *)
+  txn_failed : int;  (** attempts exhausted of retries *)
+  decided : int;  (** distinct committed decisions *)
+  blocked : int;  (** prepared-but-undecided transactions at the end *)
+  txn_latency_mean : float;  (** over acked commits *)
+  violations : int;  (** consistency-audit violations *)
+  live : bool;  (** some operation succeeds after the heal *)
+}
+
+let txn_table ~seeds : txn_row list =
+  if seeds < 1 then invalid_arg "Experiments.txn_table: seeds must be >= 1";
+  List.concat_map
+    (fun commit_mode ->
+      List.init seeds (fun i ->
+          let txn_seed = i + 1 in
+          let r =
+            Cluster.run
+              {
+                Cluster.default_params with
+                n_replicas = 3;
+                n_clients = 3;
+                n_shards = 3;
+                seed = txn_seed;
+                script = txn_kill_script;
+                workload =
+                  {
+                    Workload.default_spec with
+                    n_keys = 24;
+                    think_time = 4.0;
+                  };
+                txns =
+                  Some
+                    {
+                      Cluster.default_txn_spec with
+                      commit_mode;
+                      txns_per_client = 12;
+                    };
+              }
+          in
+          {
+            commit_mode;
+            txn_seed;
+            acked = r.Cluster.ok_txns;
+            txn_failed = r.Cluster.failed_txns;
+            decided = r.Cluster.decided_txns;
+            blocked = List.length r.Cluster.blocked_txns;
+            txn_latency_mean = r.Cluster.txn_latency.Sim.Stats.mean;
+            violations = List.length r.Cluster.audit_violations;
+            live =
+              Harness.Check.liveness_after_heal ~script:txn_kill_script
+                ~completions:r.Cluster.completions
+              = Ok ();
+          }))
+    [ `Two_phase; `Paxos ]
 
 (** {1 Ablation — workload-aware quorum tuning}
 
@@ -1061,28 +1099,14 @@ type tune_row = {
       (** "majority", "optimized", "optimized+steer", "majority+steer" *)
   t_strategy : string;  (** the shard's final strategy (base seed) *)
   t_switches : int;  (** committed re-strategizes (base seed) *)
-  t_ok_ops : int;  (** summed over the seeds *)
-  t_failed_ops : int;
   t_throughput : float;  (** ok ops per time unit, mean over seeds *)
   t_read_mean : float;  (** mean over seeds of the read-latency mean *)
   t_read_p99 : float;  (** mean over seeds of the read-latency p99 *)
-  t_audit_clean : bool;  (** every seed's audit clean *)
+  outcome : outcome;  (** summed over the seeds *)
 }
 
-let tune_mixes = [ ("90/10", 0.9); ("50/50", 0.5) ]
-
-let tune_modes =
-  [ "majority"; "optimized"; "optimized+steer"; "majority+steer" ]
-
-let tune_spec_of_mode = function
-  | "majority" -> None
-  | "optimized" -> Some { Cluster.default_tune_spec with steer = false }
-  | "optimized+steer" -> Some Cluster.default_tune_spec
-  | "majority+steer" ->
-      Some { Cluster.default_tune_spec with optimize = false }
-  | mode -> invalid_arg (Fmt.str "tune_spec_of_mode: %s" mode)
-
-let tune_table ?(seed = 42) ?(seeds = 3) () : tune_row list =
+let tune_table ?(seeds = 3) () : tune_row list =
+  if seeds < 1 then invalid_arg "Experiments.tune_table: seeds must be >= 1";
   let base_latency = Net.lognormal_latency ~mu:1.0 ~sigma:0.5 in
   (* one slow replica: every link touching r4 pays a constant on top
      of the base draw (same rng consumption, so runs stay comparable) *)
@@ -1091,7 +1115,17 @@ let tune_table ?(seed = 42) ?(seeds = 3) () : tune_row list =
     let l = base_latency rng ~src ~dst in
     if String.equal src "r4" || String.equal dst "r4" then l +. 4.0 else l
   in
-  let run_one ~f ~slow ~mode s =
+  (* each mode's cluster tuning spec; [None] is the static baseline *)
+  let modes =
+    [
+      ("majority", None);
+      ("optimized", Some { Cluster.default_tune_spec with steer = false });
+      ("optimized+steer", Some Cluster.default_tune_spec);
+      ( "majority+steer",
+        Some { Cluster.default_tune_spec with optimize = false } );
+    ]
+  in
+  let run_one ~f ~slow ~tune s =
     Cluster.run
       {
         Cluster.default_params with
@@ -1106,7 +1140,7 @@ let tune_table ?(seed = 42) ?(seeds = 3) () : tune_row list =
             read_fraction = f;
             think_time = 2.0;
           };
-        tune = tune_spec_of_mode mode;
+        tune;
         seed = s;
       }
   in
@@ -1115,17 +1149,16 @@ let tune_table ?(seed = 42) ?(seeds = 3) () : tune_row list =
       List.concat_map
         (fun (t_mix, f) ->
           List.map
-            (fun t_mode ->
+            (fun (t_mode, tune) ->
               let rs =
-                List.init (max 1 seeds) (fun i ->
-                    run_one ~f ~slow ~mode:t_mode (seed + (31 * i)))
+                List.init seeds (fun i ->
+                    run_one ~f ~slow ~tune (42 + (31 * i)))
               in
               let base = List.hd rs in
               let mean g =
                 List.fold_left (fun acc r -> acc +. g r) 0.0 rs
                 /. float_of_int (List.length rs)
               in
-              let sum g = List.fold_left (fun acc r -> acc + g r) 0 rs in
               {
                 t_mix;
                 t_env;
@@ -1135,20 +1168,14 @@ let tune_table ?(seed = 42) ?(seeds = 3) () : tune_row list =
                   | s :: _ -> s
                   | [] -> "?");
                 t_switches = List.length base.Cluster.strategy_switches;
-                t_ok_ops =
-                  sum (fun r -> r.Cluster.ok_reads + r.Cluster.ok_writes);
-                t_failed_ops =
-                  sum (fun r ->
-                      r.Cluster.failed_reads + r.Cluster.failed_writes);
                 t_throughput =
                   mean (fun r ->
                       float_of_int (r.Cluster.ok_reads + r.Cluster.ok_writes)
                       /. r.Cluster.duration);
                 t_read_mean = mean (fun r -> r.Cluster.reads.Sim.Stats.mean);
                 t_read_p99 = mean (fun r -> r.Cluster.reads.Sim.Stats.p99);
-                t_audit_clean =
-                  List.for_all (fun r -> r.Cluster.audit_violations = []) rs;
+                outcome = outcome_of rs;
               })
-            tune_modes)
-        tune_mixes)
+            modes)
+        [ ("90/10", 0.9); ("50/50", 0.5) ])
     [ ("uniform", false); ("slow-r4", true) ]

@@ -9,10 +9,9 @@ type availability_row = {
   simulated : float;
 }
 
-val availability_sweep :
-  ?n:int -> ?ps:float list -> ?seed:int -> unit -> availability_row list
-(** Q1: analytic and simulated availability per strategy and per-site
-    availability. *)
+val availability_sweep : unit -> availability_row list
+(** Q1: analytic and simulated availability per strategy (n = 5) and
+    per-site availability. *)
 
 type latency_row = {
   strategy : string;
@@ -22,7 +21,7 @@ type latency_row = {
   write : Sim.Stats.summary;
 }
 
-val latency_table : ?n:int -> ?seed:int -> unit -> latency_row list
+val latency_table : unit -> latency_row list
 (** Q2: operation latency by strategy. *)
 
 type crossover_row = {
@@ -34,8 +33,7 @@ type crossover_row = {
 
 val mean_op_latency : Cluster.results -> float
 
-val crossover :
-  ?n:int -> ?seed:int -> ?fractions:float list -> unit -> crossover_row list
+val crossover : unit -> crossover_row list
 (** Q3: who wins at which read fraction. *)
 
 type gifford_row = {
@@ -51,13 +49,13 @@ type gifford_row = {
   write_latency : float;
 }
 
-val gifford_examples : ?seed:int -> unit -> gifford_row list
+val gifford_examples : unit -> gifford_row list
 (** G1-G3: weighted-voting configurations in the style of Gifford's
     examples. *)
 
 type reconfig_row = { phase : string; ok : int; failed : int; rate : float }
 
-val reconfig_experiment : ?seed:int -> unit -> reconfig_row list
+val reconfig_experiment : unit -> reconfig_row list
 (** Q4: reconfiguration restores availability after permanent replica
     failures (RoWa -> majority-of-survivors with data migration). *)
 
@@ -69,7 +67,7 @@ type repair_row = {
   repairs_sent : int;
 }
 
-val read_repair_experiment : ?seed:int -> unit -> repair_row list
+val read_repair_experiment : unit -> repair_row list
 (** Anti-entropy on the read path: replica staleness after a
     failure-heavy write phase and a read-only phase, repair off vs
     on. *)
@@ -85,11 +83,10 @@ type optimum_row = {
   majority_score : float;
 }
 
-val optimal_configurations :
-  ?n:int -> ?ps:float list -> ?fractions:float list -> unit -> optimum_row list
-(** Search all vote assignments (votes 0-3, minimal legal thresholds)
-    for the availability-optimal configuration per (per-site
-    availability, read fraction) point. *)
+val optimal_configurations : unit -> optimum_row list
+(** Search all vote assignments over 5 sites (votes 0-3, minimal legal
+    thresholds) for the availability-optimal configuration per
+    (per-site availability, read fraction) point. *)
 
 type load_row = {
   strategy_name : string;
@@ -101,24 +98,31 @@ type load_row = {
       (** max replica load / mean replica load (1.0 = perfectly flat) *)
 }
 
-val load_table : ?seed:int -> unit -> load_row list
+val load_table : unit -> load_row list
 (** Broadcast vs targeted-quorum routing: message counts, read
     latency, availability, and per-replica load imbalance. *)
+
+type outcome = {
+  ok_ops : int;
+  failed_ops : int;
+  audit_clean : bool;  (** every run's consistency audit passed *)
+  messages : int;  (** wire messages *)
+  payloads : int;  (** logical requests carried *)
+}
+(** What an ablation row reports about its runs besides its own
+    measure; counts are summed over the row's runs. *)
 
 type retry_row = {
   policy_name : string;
   condition : string;
-  ok_ops : int;
-  failed_ops : int;
   success_rate : float;
   read_mean : float;
-  messages : int;
   retries : int;
   hedges : int;
-  audit_clean : bool;  (** consistency audit passed *)
+  outcome : outcome;
 }
 
-val retry_policy_table : ?seed:int -> unit -> retry_row list
+val retry_policy_table : unit -> retry_row list
 (** Ablation: operation success rate and latency vs the engine's
     retry/backoff/hedging policy, under message loss and nemesis
     partitions (targeted-quorum routing — the stress case for
@@ -140,27 +144,23 @@ type shard_row = {
   min_kill_availability : float;  (** worst seed *)
 }
 
-val shard_table : ?seed:int -> ?seeds:int -> unit -> shard_row list
+val shard_table : ?seeds:int -> unit -> shard_row list
 (** Ablation: a Zipf-skewed workload over 1/2/4 range shards (3
     replicas each) — load spread across replicas and shards, and the
     blast radius of killing the hot shard mid-run.  [seeds] (default
     1) averages the availability cells over consecutive seeds,
     reporting min and mean; load/message columns come from the base
-    seed. *)
+    seed.  @raise Invalid_argument if [seeds < 1]. *)
 
 type batch_row = {
   zipf_label : string;
   mode : string;
-  b_messages : int;  (** wire messages *)
-  b_payloads : int;  (** logical requests carried *)
   read_p95 : float;
   write_p95 : float;
-  b_ok_ops : int;
-  b_failed_ops : int;
-  b_audit_clean : bool;
+  outcome : outcome;
 }
 
-val batching_table : ?seed:int -> unit -> batch_row list
+val batching_table : unit -> batch_row list
 (** Ablation: multi-key batching on burst-issuing clients, uniform vs
     Zipf-skewed keys — wire messages vs logical payloads, and the p95
     latency cost of the batching window. *)
@@ -172,12 +172,10 @@ type io_row = {
   io_fsyncs_per_install : float;  (** the amortization measure *)
   io_write_mean : float;
   io_write_p95 : float;
-  io_ok_ops : int;
-  io_failed_ops : int;
-  io_audit_clean : bool;
+  outcome : outcome;
 }
 
-val io_table : ?seed:int -> unit -> io_row list
+val io_table : unit -> io_row list
 (** Ablation: the replica-side apply pipeline under a burst-8 Zipf
     write-heavy workload with per-write and per-fsync storage costs —
     naive per-install fsync (1.0 fsyncs/install, serialized) vs group
@@ -187,18 +185,11 @@ val io_table : ?seed:int -> unit -> io_row list
 type window_row = {
   w_workload : string;  (** "burst-8 zipf" or "uniform low-rate" *)
   w_mode : string;  (** "unbatched", "static w=...", "adaptive" *)
-  w_messages : int;  (** wire messages *)
-  w_payloads : int;  (** logical requests carried *)
   w_op_mean : float;  (** mean latency over all successful ops *)
-  w_ok_ops : int;
-  w_failed_ops : int;
-  w_audit_clean : bool;
+  outcome : outcome;
 }
 
-val window_statics : float list
-(** The static windows the ablation sweeps. *)
-
-val window_table : ?seed:int -> unit -> window_row list
+val window_table : unit -> window_row list
 (** Ablation: static batching windows vs the AIMD-controlled adaptive
     window, on a burst-8 Zipf workload (coalescing pays) and a uniform
     low-rate workload (any window only adds latency).  The adaptive
@@ -214,17 +205,38 @@ type attr_row = {
       (** mean time units per op per phase, in
           {!Obs.Attribution.phases} order; sums to [a_wall_mean] up to
           float error *)
-  a_ok_ops : int;
-  a_failed_ops : int;
-  a_audit_clean : bool;
+  outcome : outcome;
 }
 
-val attribution_table : ?seed:int -> unit -> attr_row list
+val attribution_table : unit -> attr_row list
 (** Ablation: causal latency attribution across loss (0% vs 30%) and
     burst size (1 vs 8) on a 2-shard cluster with retries, a static
     batch window, and storage costs — each knob's latency cost lands
     in its own phase (backoff under loss, batch-wait and fsync under
     bursts) and every row's phases sum to its wall mean. *)
+
+val txn_kill_script : Harness.Script.t
+(** The pinned coordinator-kill schedule: client-coordinators c0 and
+    c1 die inside the commit window (t=30, t=55), recover at t=700,
+    and the network heals at t=701. *)
+
+type txn_row = {
+  commit_mode : Txn.mode;
+  txn_seed : int;
+  acked : int;  (** client-acked commits *)
+  txn_failed : int;  (** attempts exhausted of retries *)
+  decided : int;  (** distinct committed decisions *)
+  blocked : int;  (** prepared-but-undecided transactions at the end *)
+  txn_latency_mean : float;  (** over acked commits *)
+  violations : int;  (** consistency-audit violations *)
+  live : bool;  (** some operation succeeds after the heal *)
+}
+
+val txn_table : seeds:int -> txn_row list
+(** Ablation: blocking 2PC vs Paxos Commit under {!txn_kill_script}
+    (3 shards x majority-3, 3 clients, 12 txns each), one row per
+    mode and seed [1 .. seeds], 2PC first.
+    @raise Invalid_argument if [seeds < 1]. *)
 
 type tune_row = {
   t_mix : string;  (** "90/10" or "50/50" *)
@@ -233,24 +245,16 @@ type tune_row = {
       (** "majority", "optimized", "optimized+steer", "majority+steer" *)
   t_strategy : string;  (** the shard's final strategy (base seed) *)
   t_switches : int;  (** committed re-strategizes (base seed) *)
-  t_ok_ops : int;  (** summed over the seeds *)
-  t_failed_ops : int;
   t_throughput : float;  (** ok ops per time unit, mean over seeds *)
   t_read_mean : float;  (** mean over seeds of the read-latency mean *)
   t_read_p99 : float;  (** mean over seeds of the read-latency p99 *)
-  t_audit_clean : bool;  (** every seed's audit clean *)
+  outcome : outcome;  (** summed over the seeds *)
 }
 
-val tune_mixes : (string * float) list
-val tune_modes : string list
-
-val tune_spec_of_mode : string -> Cluster.tune_spec option
-(** The cluster tuning spec a mode name denotes ([None] = static
-    majority baseline). @raise Invalid_argument on an unknown mode. *)
-
-val tune_table : ?seed:int -> ?seeds:int -> unit -> tune_row list
+val tune_table : ?seeds:int -> unit -> tune_row list
 (** Ablation: the workload-aware optimizer and queue-aware read
     steering vs. static majority, across read mixes (90/10, 50/50)
     and environments (uniform, one slow replica), averaged over
-    [seeds] consecutive seeds.  Quorum targeting, fire-once policy —
-    the regime the analytic model scores. *)
+    [seeds] (default 3) consecutive seeds.  Quorum targeting,
+    fire-once policy — the regime the analytic model scores.
+    @raise Invalid_argument if [seeds < 1]. *)

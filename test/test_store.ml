@@ -170,7 +170,7 @@ let test_cluster_lossy_network () =
 (* ---------- experiment shapes ---------- *)
 
 let test_latency_shape () =
-  let rows = Store.Experiments.latency_table ~n:5 () in
+  let rows = Store.Experiments.latency_table () in
   let find name =
     List.find (fun r -> r.Store.Experiments.strategy = name) rows
   in
@@ -183,7 +183,7 @@ let test_latency_shape () =
     < rowa.Store.Experiments.write.Sim.Stats.mean)
 
 let test_crossover_shape () =
-  let rows = Store.Experiments.crossover ~n:5 () in
+  let rows = Store.Experiments.crossover () in
   let at f =
     List.find
       (fun (r : Store.Experiments.crossover_row) ->
@@ -223,6 +223,17 @@ let test_gifford_rows () =
   let g1 = List.hd rows in
   Alcotest.(check bool) "G1 reads cheaper" true
     (g1.Store.Experiments.read_latency < g1.write_latency)
+
+let test_seeds_must_be_positive () =
+  Alcotest.check_raises "shard_table ~seeds:0"
+    (Invalid_argument "Experiments.shard_table: seeds must be >= 1")
+    (fun () -> ignore (Store.Experiments.shard_table ~seeds:0 ()));
+  Alcotest.check_raises "tune_table ~seeds:0"
+    (Invalid_argument "Experiments.tune_table: seeds must be >= 1")
+    (fun () -> ignore (Store.Experiments.tune_table ~seeds:0 ()));
+  Alcotest.check_raises "txn_table ~seeds:0"
+    (Invalid_argument "Experiments.txn_table: seeds must be >= 1")
+    (fun () -> ignore (Store.Experiments.txn_table ~seeds:0))
 
 (* ---------- failure edge cases ---------- *)
 
@@ -396,6 +407,8 @@ let suites =
         Alcotest.test_case "crossover shape (Q3)" `Slow test_crossover_shape;
         Alcotest.test_case "reconfiguration shape (Q4)" `Quick test_reconfig_shape;
         Alcotest.test_case "gifford examples (G1-G3)" `Quick test_gifford_rows;
+        Alcotest.test_case "seeds < 1 rejected" `Quick
+          test_seeds_must_be_positive;
       ] );
   ]
 
@@ -475,15 +488,14 @@ let test_optimal_dominates_classics () =
            r.read_fraction)
         true
         (r.score +. 1e-9 >= r.majority_score))
-    (Store.Experiments.optimal_configurations ~ps:[ 0.8; 0.9 ]
-       ~fractions:[ 0.1; 0.9 ] ())
+    (Store.Experiments.optimal_configurations ())
 
 let test_optimal_thresholds_legal () =
   List.iter
     (fun (r : Store.Experiments.optimum_row) ->
       let total = List.fold_left ( + ) 0 r.Store.Experiments.votes in
       Alcotest.(check int) "minimal legality" (total + 1) (r.r + r.w))
-    (Store.Experiments.optimal_configurations ~ps:[ 0.9 ] ~fractions:[ 0.5 ] ())
+    (Store.Experiments.optimal_configurations ())
 
 let optimal_suite =
   ( "store.optimal",

@@ -204,21 +204,13 @@ let test_txn_cluster_smoke () =
 (* the pinned ablation: a coordinator killed inside the commit window
    leaves 2PC with in-doubt participants forever, while Paxos Commit
    resolves them and the audit stays clean *)
-let kill_script =
-  [
-    Harness.Script.At (30.0, Harness.Script.Crash "c0");
-    Harness.Script.At (55.0, Harness.Script.Crash "c1");
-    Harness.Script.At (700.0, Harness.Script.Recover "c0");
-    Harness.Script.At (700.0, Harness.Script.Recover "c1");
-    Harness.Script.At (701.0, Harness.Script.Heal);
-  ]
-
 let count_blocked mode seeds =
   List.fold_left
     (fun (blocked, dirty) seed ->
       let r =
         Cluster.run
-          (txn_params ~mode ~seed ~script:kill_script ~n_clients:3 ())
+          (txn_params ~mode ~seed ~script:Store.Experiments.txn_kill_script
+             ~n_clients:3 ())
       in
       ( blocked + List.length r.Cluster.blocked_txns,
         dirty + List.length r.Cluster.audit_violations ))
@@ -260,10 +252,13 @@ let prop_txn_serializable_under_partitions =
 (* under a healing script, Paxos-Commit runs must also regain
    liveness: some transaction completes successfully after the heal *)
 let test_txn_liveness_after_heal () =
-  let p = txn_params ~mode:`Paxos ~seed:21 ~script:kill_script () in
+  let p =
+    txn_params ~mode:`Paxos ~seed:21 ~script:Store.Experiments.txn_kill_script
+      ()
+  in
   let r = Cluster.run p in
   match
-    Harness.Check.liveness_after_heal ~script:kill_script
+    Harness.Check.liveness_after_heal ~script:Store.Experiments.txn_kill_script
       ~completions:r.Cluster.completions
   with
   | Ok () -> ()
