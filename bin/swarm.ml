@@ -133,16 +133,15 @@ let extra_flags shape =
     | Some m -> " --txn " ^ Store.Txn.mode_label m)
     (if shape.tune then " --tune" else "")
 
-let sweep shape seeds seed0 max_failures json_path =
-  (* fail fast on a structurally broken configuration: fuzzing a
-     known-illegal quorum system would only report it slowly *)
-  (if not shape.unsafe then
-     let members = List.init shape.replicas (fun i -> Fmt.str "r%d" i) in
-     match
-       Harness.Check.quorum_ok ~name:"majority" (Quorum.Config.majority members)
-     with
-     | Ok () -> ()
-     | Error e -> Fmt.epr "static quorum gate: %s@." e);
+(* Fail fast on a structurally broken configuration: fuzzing a
+   known-illegal quorum system would only report it slowly. *)
+let static_gate shape =
+  if shape.unsafe then Ok ()
+  else
+    let members = List.init shape.replicas (fun i -> Fmt.str "r%d" i) in
+    Harness.Check.quorum_ok ~name:"majority" (Quorum.Config.majority members)
+
+let sweep_seeds shape seeds seed0 max_failures json_path =
   let run ~seed script = run_one shape ~seed script in
   let failures =
     Harness.Swarm.sweep ~run ~gen:(gen_for shape) ~seeds ~seed0 ~max_failures
@@ -176,6 +175,13 @@ let sweep shape seeds seed0 max_failures json_path =
       Fmt.pr "report written to %s@." path);
   if failures = [] then 0 else 1
 
+let sweep shape seeds seed0 max_failures json_path =
+  match static_gate shape with
+  | Error e ->
+      Fmt.epr "static quorum gate: %s@." e;
+      2
+  | Ok () -> sweep_seeds shape seeds seed0 max_failures json_path
+
 let repro shape seed script_str =
   match Script.of_string script_str with
   | Error e ->
@@ -204,12 +210,17 @@ open Cmdliner
 
 let shape_term =
   let shards =
-    Arg.(value & opt int 4 & info [ "shards" ] ~doc:"Replica groups.")
+    Arg.(
+      value & opt Table.positive 4 & info [ "shards" ] ~doc:"Replica groups.")
   in
   let replicas =
-    Arg.(value & opt int 3 & info [ "replicas" ] ~doc:"Replicas per shard.")
+    Arg.(
+      value & opt Table.positive 3
+      & info [ "replicas" ] ~doc:"Replicas per shard.")
   in
-  let clients = Arg.(value & opt int 3 & info [ "clients" ] ~doc:"Clients.") in
+  let clients =
+    Arg.(value & opt Table.positive 3 & info [ "clients" ] ~doc:"Clients.")
+  in
   let ops =
     Arg.(value & opt int 40 & info [ "ops" ] ~doc:"Operations per client.")
   in
@@ -253,7 +264,8 @@ let shape_term =
 
 let sweep_cmd =
   let seeds =
-    Arg.(value & opt int 100 & info [ "seeds" ] ~doc:"Seeds to sweep.")
+    Arg.(
+      value & opt Table.positive 100 & info [ "seeds" ] ~doc:"Seeds to sweep.")
   in
   let seed0 = Arg.(value & opt int 0 & info [ "seed0" ] ~doc:"First seed.") in
   let max_failures =
@@ -271,7 +283,8 @@ let sweep_cmd =
     (Cmd.info "sweep"
        ~doc:
          "Sweep seeds through randomized fault scripts, audit every run, \
-          minimize failures (exit 1 on any violation).")
+          minimize failures (exit 1 on any violation, 2 if the static \
+          quorum gate fails).")
     Term.(
       const sweep $ shape_term $ seeds $ seed0 $ max_failures $ json)
 

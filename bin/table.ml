@@ -1,6 +1,7 @@
-(* Plain-text tables for the command-line tools: every column is
-   padded to its widest cell (header included), columns are separated
-   by one space, and no line ends in spaces. *)
+(* Shared by the command-line tools: plain-text tables, where every
+   column is padded to its widest cell (header included), columns are
+   separated by one space, and no line ends in spaces; and the one
+   converter for count flags. *)
 
 let rtrim s =
   let n = ref (String.length s) in
@@ -20,3 +21,13 @@ let lines ~header rows =
     all;
   let pad i cell = cell ^ String.make (widths.(i) - String.length cell) ' ' in
   List.map (fun cells -> rtrim (String.concat " " (List.mapi pad cells))) all
+
+(* A count flag: a positive integer, so [0] or [-3] is a usage error
+   (exit 124) rather than a vacuous run. *)
+let positive =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= 1 -> Ok n
+    | _ -> Error (`Msg (Fmt.str "expected a positive integer, got %S" s))
+  in
+  Cmdliner.Arg.conv ~docv:"N" (parse, Fmt.int)

@@ -662,21 +662,13 @@ let entries =
 
 open Cmdliner
 
-let positive =
-  let parse s =
-    match int_of_string_opt s with
-    | Some n when n >= 1 -> Ok n
-    | _ -> Error (`Msg (Fmt.str "expected a positive integer, got %S" s))
-  in
-  Arg.conv ~docv:"N" (parse, Fmt.int)
-
 let command e =
   let seeds =
     match e.seeds with
     | None -> Term.const 0
     | Some default ->
         Arg.(
-          value & opt positive default
+          value & opt Table.positive default
           & info [ "seeds" ] ~docv:"N" ~doc:"Seed count.")
   in
   Cmd.v (Cmd.info e.name ~doc:e.doc)

@@ -129,7 +129,9 @@ let seed =
   Arg.(value & opt int 7 & info [ "s"; "seed" ] ~doc:"Simulation seed.")
 
 let replicas =
-  Arg.(value & opt int 5 & info [ "replicas" ] ~doc:"Number of replicas.")
+  Arg.(
+    value & opt Table.positive 5
+    & info [ "replicas" ] ~doc:"Number of replicas.")
 
 let clients =
   Arg.(value & opt int 3 & info [ "clients" ] ~doc:"Number of clients.")
@@ -314,7 +316,8 @@ let run_attribution seed replicas clients ops loss shards burst batch_window
   end
 
 let shards =
-  Arg.(value & opt int 2 & info [ "shards" ] ~doc:"Number of shards.")
+  Arg.(
+    value & opt Table.positive 2 & info [ "shards" ] ~doc:"Number of shards.")
 
 let burst =
   Arg.(value & opt int 4 & info [ "burst" ] ~doc:"Operations per burst.")

@@ -64,8 +64,7 @@
      help | quit
 
    Every operation is traced; `trace session.json` writes what
-   happened so far, and setting OBS_TRACE=FILE in the environment
-   writes the whole session's trace on quit.
+   happened so far (type it before `quit` for the whole session).
 
    Example:
      printf 'put a 1\ncrash r0\ncrash r1\nput a 2\nget a\nquit\n' \
@@ -298,16 +297,7 @@ let () =
     | Some line -> (
         match String.split_on_char ' ' (String.trim line) with
         | [ "" ] -> loop ()
-        | [ "quit" ] | [ "exit" ] ->
-            (match Sys.getenv_opt "OBS_TRACE" with
-            | Some path -> (
-                try
-                  Obs.Export.write_chrome path !w.tracer;
-                  Fmt.pr "wrote %d trace events to %s@."
-                    (Obs.Trace.length !w.tracer) path
-                with Sys_error e -> Fmt.pr "cannot write trace: %s@." e)
-            | None -> ());
-            Fmt.pr "bye.@."
+        | [ "quit" ] | [ "exit" ] -> Fmt.pr "bye.@."
         | [ "help" ] ->
             Fmt.pr
               "put KEY INT | get KEY | crash NODE | recover NODE | cut A B | \

@@ -142,8 +142,8 @@ let run_rw ~seed : row =
     (* explicit read + the write's query and install rounds *)
   }
 
-let counter_comparison ?(seed = 77) () : row list =
-  [ run_adt ~seed; run_rw ~seed ]
+let counter_comparison () : row list =
+  [ run_adt ~seed:77; run_rw ~seed:77 ]
 
 (* -------- lost updates: two concurrent blind incrementers -------- *)
 
@@ -260,5 +260,5 @@ let race_rw ~seed : race_row =
 (** Two clients racing 100 increments each: the event log loses
     nothing (increments commute under union); read-modify-write on the
     read-write store loses the interleaved updates. *)
-let race_comparison ?(seed = 99) () : race_row list =
-  [ race_adt ~seed; race_rw ~seed ]
+let race_comparison () : race_row list =
+  [ race_adt ~seed:99; race_rw ~seed:99 ]

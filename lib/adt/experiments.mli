@@ -11,13 +11,13 @@ type row = {
   rounds_per_mutation : float;
 }
 
-val counter_comparison : ?seed:int -> unit -> row list
+val counter_comparison : unit -> row list
 (** Sequential increments: event-log (1 round) vs read-write
     (read + query + install). *)
 
 type race_row = { scheme : string; issued : int; final : int; lost : int }
 
-val race_comparison : ?seed:int -> unit -> race_row list
+val race_comparison : unit -> race_row list
 (** Two racing incrementers: union-merged increments commute (0 lost)
     while read-modify-write over the plain store loses interleaved
     updates. *)

@@ -626,6 +626,7 @@ let tune cx spec ~clients ~replicas ~strategies =
 
 let run (p : params) : results =
   if p.n_shards < 1 then invalid_arg "Cluster.run: n_shards must be >= 1";
+  if p.n_replicas < 1 then invalid_arg "Cluster.run: n_replicas must be >= 1";
   let sim = Core.create ~seed:p.seed in
   let tracer = Obs.Trace.create ~capacity:p.trace_capacity () in
   Core.attach_tracer sim tracer;

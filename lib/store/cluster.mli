@@ -169,9 +169,9 @@ val availability : results -> float
 (** Fraction of operations that succeeded. *)
 
 val run : params -> results
-(** @raise Invalid_argument on a bad param or a [script] that
-    {!Harness.Run.install} rejects (e.g. a shard index out of range),
-    before the run starts. *)
+(** @raise Invalid_argument on a bad param (e.g. [n_shards] or
+    [n_replicas] below 1) or a [script] that {!Harness.Run.install}
+    rejects (e.g. a shard index out of range), before the run starts. *)
 
 val digest : results -> string
 (** A stable digest of the run's simulation outcome — latency

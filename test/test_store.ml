@@ -167,6 +167,15 @@ let test_cluster_lossy_network () =
   in
   Alcotest.(check (list string)) "clean under loss" [] r.Store.Cluster.audit_violations
 
+(* a cluster with no replicas is a bad param, not a run where every
+   operation times out *)
+let test_cluster_needs_replicas () =
+  Alcotest.check_raises "n_replicas = 0"
+    (Invalid_argument "Cluster.run: n_replicas must be >= 1") (fun () ->
+      ignore
+        (Store.Cluster.run
+           { Store.Cluster.default_params with n_replicas = 0 }))
+
 (* ---------- experiment shapes ---------- *)
 
 let test_latency_shape () =
@@ -388,6 +397,8 @@ let suites =
           test_cluster_audit_clean;
         Alcotest.test_case "grid cluster" `Quick test_cluster_grid_needs_matching_n;
         Alcotest.test_case "lossy network" `Quick test_cluster_lossy_network;
+        Alcotest.test_case "no replicas rejected" `Quick
+          test_cluster_needs_replicas;
       ] );
     ( "store.failures",
       [
