@@ -175,21 +175,22 @@ let flush t =
         queued
   | Some b ->
       (* group per destination, preserving first-appearance order so
-         the flush is deterministic *)
-      let order = ref [] in
-      let by_dst : (string, 'msg list ref) Hashtbl.t = Hashtbl.create 8 in
-      List.iter
-        (fun (dst, m, _) ->
-          match Hashtbl.find_opt by_dst dst with
-          | Some l -> l := m :: !l
-          | None ->
-              Hashtbl.replace by_dst dst (ref [ m ]);
-              order := dst :: !order)
-        queued;
+         the flush is deterministic; a flush reaches a handful of
+         destinations, so a scan beats a table *)
+      let groups =
+        List.fold_left
+          (fun groups (dst, m, _) ->
+            match List.assoc_opt dst groups with
+            | Some l ->
+                l := m :: !l;
+                groups
+            | None -> (dst, ref [ m ]) :: groups)
+          [] queued
+      in
       let peak = ref 0 in
       List.iter
-        (fun dst ->
-          let msgs = List.rev !(Hashtbl.find by_dst dst) in
+        (fun (dst, l) ->
+          let msgs = List.rev !l in
           peak := max !peak (List.length msgs);
           (match t.m_batch_size with
           | Some h -> Obs.Metrics.observe h (float_of_int (List.length msgs))
@@ -210,7 +211,7 @@ let flush t =
                   ();
               Net.send t.net ~src:t.name ~dst ~payloads:(List.length ms)
                 (b.wrap ~rid ms))
-        (List.rev !order);
+        (List.rev groups);
       (* close the loop: the peak per-destination batch size tells the
          controller whether the window is earning its queue delay *)
       (match t.wctl with

@@ -18,7 +18,8 @@ val attach_tracer : t -> Obs.Trace.t -> unit
 (** Install a trace sink and wire its clock to the virtual time. *)
 
 val schedule : t -> delay:float -> (unit -> unit) -> unit
-(** Run the callback at [now + delay] (clamped to now). *)
+(** Run the callback at [now + delay] (clamped to now).
+    Raises [Invalid_argument] on a NaN delay. *)
 
 val run : ?until:float -> ?max_events:int -> t -> unit
 (** Process events until the queue empties or virtual time passes

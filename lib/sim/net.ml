@@ -44,12 +44,19 @@ type link_filter = {
   mutable filter_dropped : int;  (** messages this filter swallowed *)
 }
 
+(* Everything the network knows about one node, so a message costs
+   one name lookup per endpoint.  A name the table lacks is a node
+   that is down and has no handler. *)
+type 'msg node = {
+  mutable up : bool;
+  mutable handler : (src:string -> 'msg -> unit) option;
+}
+
 type 'msg t = {
   sim : Core.t;
   latency : latency;
   mutable loss : float;
-  handlers : (string, src:string -> 'msg -> unit) Hashtbl.t;
-  up : (string, bool) Hashtbl.t;
+  nodes : (string, 'msg node) Hashtbl.t;
   cut_links : (string * string, bool) Hashtbl.t;
   filters : (string * string, link_filter) Hashtbl.t;
   mutable sent : int;
@@ -78,8 +85,7 @@ let create ~(sim : Core.t) ~nodes ?(latency = uniform_latency ~lo:1.0 ~hi:5.0)
       sim;
       latency;
       loss;
-      handlers = Hashtbl.create 16;
-      up = Hashtbl.create 16;
+      nodes = Hashtbl.create 16;
       cut_links = Hashtbl.create 16;
       filters = Hashtbl.create 16;
       sent = 0;
@@ -93,25 +99,39 @@ let create ~(sim : Core.t) ~nodes ?(latency = uniform_latency ~lo:1.0 ~hi:5.0)
       drop_filtered = 0;
     }
   in
-  List.iter (fun n -> Hashtbl.replace t.up n true) nodes;
+  List.iter
+    (fun n -> Hashtbl.replace t.nodes n { up = true; handler = None })
+    nodes;
   t
 
 let sim t = t.sim
 let tracer t = Core.tracer t.sim
 
-let register t ~node handler = Hashtbl.replace t.handlers node handler
+(* [name]'s record, added (down, without a handler) if absent *)
+let node_of t name =
+  match Hashtbl.find t.nodes name with
+  | n -> n
+  | exception Not_found ->
+      let n = { up = false; handler = None } in
+      Hashtbl.replace t.nodes name n;
+      n
+
+let register t ~node handler = (node_of t node).handler <- Some handler
 let set_loss t p = t.loss <- p
 
-let is_up t node = Option.value ~default:false (Hashtbl.find_opt t.up node)
+let is_up t name =
+  match Hashtbl.find t.nodes name with
+  | n -> n.up
+  | exception Not_found -> false
 
 let crash t node =
-  Hashtbl.replace t.up node false;
+  (node_of t node).up <- false;
   let tr = tracer t in
   if Obs.Trace.enabled tr then
     Obs.Trace.instant tr ~cat:"net" ~name:"crash" ~track:node ()
 
 let recover t node =
-  Hashtbl.replace t.up node true;
+  (node_of t node).up <- true;
   let tr = tracer t in
   if Obs.Trace.enabled tr then
     Obs.Trace.instant tr ~cat:"net" ~name:"recover" ~track:node ()
@@ -202,10 +222,14 @@ let send t ~src ~dst ?(payloads = 1) (msg : 'msg) =
       ();
   (* reason checks in the original short-circuit order, so the PRNG
      draws exactly when it always did; the link filter slots in after
-     the cut check and touches the PRNG only on filtered links *)
+     the cut check and touches the PRNG only on filtered links; the
+     link tables are usually empty, and then no key is built *)
   if not (is_up t src) then drop t ~src ~dst Sender_down
-  else if link_cut t src dst then drop t ~src ~dst Link_cut
+  else if Hashtbl.length t.cut_links > 0 && link_cut t src dst then
+    drop t ~src ~dst Link_cut
   else if
+    Hashtbl.length t.filters > 0
+    &&
     match Hashtbl.find_opt t.filters (src, dst) with
     | Some f when filter_fires t f ->
         f.filter_dropped <- f.filter_dropped + 1;
@@ -216,22 +240,20 @@ let send t ~src ~dst ?(payloads = 1) (msg : 'msg) =
   else
     let delay = t.latency rng ~src ~dst in
     Core.schedule t.sim ~delay (fun () ->
-        if is_up t dst then (
-          match Hashtbl.find_opt t.handlers dst with
-          | Some h ->
-              t.delivered <- t.delivered + 1;
-              t.payload_delivered <- t.payload_delivered + payloads;
-              if Obs.Trace.enabled tr then
-                Obs.Trace.instant tr ~cat:"net" ~name:"deliver" ~track:dst
-                  ~args:
-                    [
-                      ("src", Obs.Trace.Str src);
-                      ("latency", Obs.Trace.Float delay);
-                    ]
-                  ();
-              h ~src msg
-          | None -> drop t ~src ~dst Dest_down)
-        else drop t ~src ~dst Dest_down)
+        match Hashtbl.find t.nodes dst with
+        | { up = true; handler = Some h } ->
+            t.delivered <- t.delivered + 1;
+            t.payload_delivered <- t.payload_delivered + payloads;
+            if Obs.Trace.enabled tr then
+              Obs.Trace.instant tr ~cat:"net" ~name:"deliver" ~track:dst
+                ~args:
+                  [
+                    ("src", Obs.Trace.Str src);
+                    ("latency", Obs.Trace.Float delay);
+                  ]
+                ();
+            h ~src msg
+        | _ | (exception Not_found) -> drop t ~src ~dst Dest_down)
 
 type counters = {
   sent : int;

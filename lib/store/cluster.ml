@@ -360,15 +360,14 @@ let run_op cx (c : Router.t) (op : Workload.op) ~k =
    repeat write to the same key inside a burst becomes a read, so
    concurrent same-key writes never race. *)
 let demote_repeat_writes ops =
-  let seen = Hashtbl.create 4 in
-  List.map
-    (function
-      | Workload.Write (key, _) when Hashtbl.mem seen key -> Workload.Read key
-      | Workload.Write (key, _) as op ->
-          Hashtbl.replace seen key ();
-          op
-      | op -> op)
-    ops
+  let rec go written = function
+    | [] -> []
+    | Workload.Write (key, _) :: rest when List.mem key written ->
+        Workload.Read key :: go written rest
+    | (Workload.Write (key, _) as op) :: rest -> op :: go (key :: written) rest
+    | op :: rest -> op :: go written rest
+  in
+  go [] ops
 
 (* The closed-loop op driver, one loop per client: think, then issue
    [burst] ops concurrently and wait for the whole burst. *)

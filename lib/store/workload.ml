@@ -63,7 +63,7 @@ let default_spec =
 
 type op = Read of string | Write of string * int
 
-let key_name i = Fmt.str "k%d" i
+let key_name i = "k" ^ string_of_int i
 
 (** The next operation for [client] (index [ci] of [n_clients]):
     reads go anywhere; writes are restricted to keys this client owns

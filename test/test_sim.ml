@@ -5,27 +5,33 @@ module Prng = Qc_util.Prng
 
 (* ---------- heap ---------- *)
 
+let drain_heap h =
+  let rec go acc =
+    if Sim.Heap.is_empty h then List.rev acc
+    else
+      let t = Sim.Heap.min_time h and s = Sim.Heap.min_seq h in
+      let v = Sim.Heap.pop_min h in
+      go ((t, s, v) :: acc)
+  in
+  go []
+
 let test_heap_ordering () =
   let h = Sim.Heap.create () in
   List.iteri (fun i t -> Sim.Heap.push h t i t) [ 5.0; 1.0; 3.0; 2.0; 4.0 ];
-  let rec drain acc =
-    match Sim.Heap.pop h with
-    | Some (t, _, _) -> drain (t :: acc)
-    | None -> List.rev acc
-  in
   Alcotest.(check (list (float 0.0)))
-    "sorted" [ 1.0; 2.0; 3.0; 4.0; 5.0 ] (drain [])
+    "sorted" [ 1.0; 2.0; 3.0; 4.0; 5.0 ]
+    (List.map (fun (t, _, _) -> t) (drain_heap h))
 
 let test_heap_fifo_ties () =
   let h = Sim.Heap.create () in
   Sim.Heap.push h 1.0 1 "first";
   Sim.Heap.push h 1.0 2 "second";
-  (match Sim.Heap.pop h with
-  | Some (_, _, v) -> Alcotest.(check string) "fifo" "first" v
-  | None -> Alcotest.fail "pop");
-  match Sim.Heap.pop h with
-  | Some (_, _, v) -> Alcotest.(check string) "fifo 2" "second" v
-  | None -> Alcotest.fail "pop"
+  Alcotest.(check string) "fifo" "first" (Sim.Heap.pop_min h);
+  Alcotest.(check string) "fifo 2" "second" (Sim.Heap.pop_min h);
+  Alcotest.(check bool) "drained" true (Sim.Heap.is_empty h);
+  Alcotest.check_raises "pop_min on empty"
+    (Invalid_argument "Sim.Heap.pop_min: empty heap") (fun () ->
+      ignore (Sim.Heap.pop_min h))
 
 let prop_heap_sorted =
   QCheck.Test.make ~count:100 ~name:"heap drains in key order"
@@ -33,12 +39,66 @@ let prop_heap_sorted =
     (fun times ->
       let h = Sim.Heap.create () in
       List.iteri (fun i t -> Sim.Heap.push h t i ()) times;
-      let rec drain prev =
-        match Sim.Heap.pop h with
-        | None -> true
-        | Some (t, _, ()) -> t >= prev && drain t
+      let rec sorted = function
+        | (t1, s1, ()) :: ((t2, s2, ()) :: _ as rest) ->
+            (t1 < t2 || (t1 = t2 && s1 < s2)) && sorted rest
+        | _ -> true
       in
-      drain neg_infinity)
+      sorted (drain_heap h))
+
+(* The spec-literal oracle: a list drained by polymorphic [compare] on
+   [(time, seq)], the order the heap has always promised.  Ops are
+   [Some time] (push) and [None] (pop); times come from a small set
+   with [infinity] so ties are common, and seqs are distinct but not
+   in push order, so the seq tie-break is exercised both ways. *)
+let prop_heap_matches_model =
+  let time =
+    QCheck.Gen.(
+      frequency
+        [
+          (4, oneofl [ 0.0; 1.0; 2.5; infinity ]);
+          (1, float_bound_exclusive 5.0);
+        ])
+  in
+  let op = QCheck.Gen.(frequency [ (3, map Option.some time); (2, return None) ]) in
+  QCheck.Test.make ~count:300 ~name:"heap matches the (time, seq) model"
+    QCheck.(make ~print:Print.(list (option float)) Gen.(list_size (0 -- 200) op))
+    (fun ops ->
+      let h = Sim.Heap.create () in
+      let model = ref [] in
+      let model_pop () =
+        match List.sort (fun (t1, s1, _) (t2, s2, _) -> compare (t1, s1) (t2, s2)) !model with
+        | [] -> None
+        | m :: rest ->
+            model := rest;
+            Some m
+      in
+      let heap_pop () =
+        if Sim.Heap.is_empty h then None
+        else
+          let t = Sim.Heap.min_time h and s = Sim.Heap.min_seq h in
+          Some (t, s, Sim.Heap.pop_min h)
+      in
+      let pushed = ref 0 in
+      let same_pops =
+        List.for_all
+          (function
+            | Some t ->
+                let i = !pushed in
+                incr pushed;
+                let seq = i * 7919 mod 10007 in
+                Sim.Heap.push h t seq i;
+                model := (t, seq, i) :: !model;
+                true
+            | None -> heap_pop () = model_pop ())
+          ops
+      in
+      let rec drains () =
+        match (heap_pop (), model_pop ()) with
+        | None, None -> true
+        | a, b -> a = b && drains ()
+      in
+      same_pops && drains ())
 
 (* ---------- clock ---------- *)
 
@@ -60,6 +120,31 @@ let test_sim_until () =
   Sim.Core.run ~until:5.0 sim;
   Alcotest.(check bool) "not fired" false !fired;
   Alcotest.(check (float 0.001)) "clock at bound" 5.0 (Sim.Core.now sim)
+
+(* 40 events at one instant outgrow the queue twice (16 -> 32 -> 64)
+   and must still run in scheduling order. *)
+let test_sim_same_instant_fifo () =
+  let sim = Sim.Core.create ~seed:1 in
+  let order = ref [] in
+  for i = 0 to 39 do
+    Sim.Core.schedule sim ~delay:2.0 (fun () -> order := i :: !order)
+  done;
+  Sim.Core.run sim;
+  Alcotest.(check (list int)) "fifo" (List.init 40 Fun.id) (List.rev !order);
+  Alcotest.(check int) "all ran" 40 (Sim.Core.executed_events sim)
+
+(* A NaN delay has no place in the time order: [Float.max 0.0 nan] is
+   NaN, and a NaN key would land anywhere in the queue. *)
+let test_sim_nan_delay_rejected () =
+  let sim = Sim.Core.create ~seed:1 in
+  let order = ref [] in
+  Sim.Core.schedule sim ~delay:1.0 (fun () -> order := "a" :: !order);
+  Alcotest.check_raises "nan delay"
+    (Invalid_argument "Sim.Core.schedule: NaN delay") (fun () ->
+      Sim.Core.schedule sim ~delay:Float.nan (fun () -> order := "nan" :: !order));
+  Sim.Core.schedule sim ~delay:2.0 (fun () -> order := "b" :: !order);
+  Sim.Core.run sim;
+  Alcotest.(check (list string)) "queue unaffected" [ "a"; "b" ] (List.rev !order)
 
 (* ---------- network ---------- *)
 
@@ -326,6 +411,73 @@ let test_drop_loss_counted () =
   Alcotest.(check int) "loss drop" 1 c.Sim.Net.drop_loss;
   Alcotest.(check int) "total" 1 c.Sim.Net.dropped
 
+(* A fixed crash/cut/filter/loss/heal/recover sequence with sends
+   between the steps, some still in flight when the next step lands.
+   The last bursts go out after [heal_link] and [clear_link_filter]
+   have emptied the link tables again. *)
+let net_fault_sequence () =
+  let sim = Sim.Core.create ~seed:11 in
+  let nodes = [ "a"; "b"; "c" ] in
+  let net =
+    Sim.Net.create ~sim ~nodes ~latency:(Sim.Net.uniform_latency ~lo:1.0 ~hi:3.0) ()
+  in
+  let got = ref 0 in
+  List.iter (fun n -> Sim.Net.register net ~node:n (fun ~src:_ _ -> incr got)) nodes;
+  let links = [ ("a", "b"); ("b", "c"); ("c", "a"); ("a", "c"); ("b", "a"); ("a", "z") ] in
+  let burst () =
+    for i = 1 to 8 do
+      List.iter (fun (src, dst) -> Sim.Net.send net ~src ~dst i) links
+    done;
+    Sim.Core.run ~until:(Sim.Core.now sim +. 1.5) sim
+  in
+  burst ();
+  Sim.Net.crash net "b";
+  burst ();
+  Sim.Net.cut_link net "a" "c";
+  burst ();
+  Sim.Net.set_link_filter net ~src:"c" ~dst:"a" (Sim.Net.Drop_first 3);
+  Sim.Net.set_link_filter net ~src:"a" ~dst:"b" (Sim.Net.Drop_prob 0.5);
+  Sim.Net.set_link_filter net ~src:"b" ~dst:"a" Sim.Net.Drop_all;
+  Sim.Net.recover net "b";
+  burst ();
+  Sim.Net.set_loss net 0.3;
+  burst ();
+  let filter_drops =
+    List.map (fun (_, _, n) -> n) (Sim.Net.filtered_links net)
+  in
+  Sim.Net.heal_link net "a" "c";
+  Sim.Net.clear_link_filter net ~src:"c" ~dst:"a";
+  Sim.Net.clear_link_filter net ~src:"a" ~dst:"b";
+  Sim.Net.clear_link_filter net ~src:"b" ~dst:"a";
+  burst ();
+  Sim.Net.set_loss net 0.0;
+  Sim.Net.crash net "c";
+  burst ();
+  Sim.Net.recover net "c";
+  burst ();
+  Sim.Core.run sim;
+  (Sim.Net.counters net, !got, filter_drops, Sim.Core.now sim)
+
+(* Values captured before nodes became one record each and the empty
+   link tables got a fast path: every counter, every drop reason and
+   the final clock must stay exactly as they were. *)
+let test_net_fault_sequence_pinned () =
+  let c, got, filter_drops, now = net_fault_sequence () in
+  let check name expected actual = Alcotest.(check int) name expected actual in
+  check "sent" 384 c.Sim.Net.sent;
+  check "delivered" 154 c.Sim.Net.delivered;
+  check "payload_sent" 384 c.Sim.Net.payload_sent;
+  check "payload_delivered" 154 c.Sim.Net.payload_delivered;
+  check "dropped" 230 c.Sim.Net.dropped;
+  check "sender_down" 40 c.Sim.Net.drop_sender_down;
+  check "dest_down" 93 c.Sim.Net.drop_dest_down;
+  check "link_cut" 48 c.Sim.Net.drop_link_cut;
+  check "loss" 25 c.Sim.Net.drop_loss;
+  check "filtered" 24 c.Sim.Net.drop_filtered;
+  check "handlers ran" 154 got;
+  Alcotest.(check (list int)) "per-filter drops" [ 8; 16; 0 ] filter_drops;
+  Alcotest.(check (float 0.0)) "final clock" 0x1.afee04c83cd0ap+3 now
+
 (* a pinned PRNG state makes the drawn cases — and therefore the whole
    suite — deterministic run to run *)
 let qcheck t = QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0x5eed |]) t
@@ -337,11 +489,19 @@ let suites =
         Alcotest.test_case "orders by time" `Quick test_heap_ordering;
         Alcotest.test_case "fifo on ties" `Quick test_heap_fifo_ties;
         qcheck prop_heap_sorted;
+        qcheck prop_heap_matches_model;
       ] );
     ( "sim.core",
       [
         Alcotest.test_case "time advances with events" `Quick test_sim_time_advances;
         Alcotest.test_case "run until bound" `Quick test_sim_until;
+        Alcotest.test_case "40 same-instant events run fifo" `Quick
+          test_sim_same_instant_fifo;
+      ] );
+    ( "sim.clock",
+      [
+        Alcotest.test_case "NaN delay rejected" `Quick
+          test_sim_nan_delay_rejected;
       ] );
     ( "sim.net",
       [
@@ -354,6 +514,8 @@ let suites =
         Alcotest.test_case "determinism" `Quick test_sim_determinism;
         Alcotest.test_case "drop reasons attributed" `Quick test_drop_reasons;
         Alcotest.test_case "loss drops counted" `Quick test_drop_loss_counted;
+        Alcotest.test_case "fault sequence pinned" `Quick
+          test_net_fault_sequence_pinned;
       ] );
     ( "sim.failure",
       [ Alcotest.test_case "availability matches spec" `Quick test_failure_availability ]
