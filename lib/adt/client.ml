@@ -88,7 +88,7 @@ let finish t (p : pending) ~ok =
 
 let gather t (p : pending) ~quorum_ok ~make ~on_quorum =
   ignore
-    (Engine.call t.eng ~op:p.eop ~targets:(Array.to_list t.replicas) ~make
+    (Engine.call t.eng ~op:p.eop ~targets:t.replicas ~make
        ~on_reply:(fun ~src msg ->
          match (msg, replica_index t src) with
          | Replica.Entries { key; entries; _ }, Some i

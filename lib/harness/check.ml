@@ -27,28 +27,39 @@ let audit () = { completed_writes = Hashtbl.create 64; violations = [] }
 
 let note a fmt = Fmt.kstr (fun s -> a.violations <- s :: a.violations) fmt
 
+(* The newest version among [writes] completed by [started]. *)
+let rec newest_by started acc = function
+  | [] -> acc
+  | e :: rest ->
+      newest_by started
+        (if e.completed_at <= started && e.vn > acc then e.vn else acc)
+        rest
+
+(* The first of [writes] at version [vn].  @raise Not_found *)
+let rec write_at vn = function
+  | [] -> raise Not_found
+  | e :: rest -> if e.vn = vn then e else write_at vn rest
+
 (** Check one successful read: [started] is when the read was issued,
     [vn]/[value] what it returned. *)
 let read_ok a ~key ~started ~vn ~value =
-  (* audit: newest write completed before we started *)
-  let prior =
-    List.filter
-      (fun e -> e.completed_at <= started)
-      (Option.value ~default:[] (Hashtbl.find_opt a.completed_writes key))
+  let writes =
+    match Hashtbl.find a.completed_writes key with
+    | ws -> ws
+    | exception Not_found -> []
   in
-  let newest = List.fold_left (fun m e -> max m e.vn) 0 prior in
+  (* audit: newest write completed before we started *)
+  let newest = newest_by started 0 writes in
   if vn < newest then
     note a "stale read of %s: returned vn %d < completed vn %d" key vn newest;
   (* the value must be what was written at that vn *)
   if vn > 0 then
-    match
-      List.find_opt
-        (fun e -> e.vn = vn)
-        (Option.value ~default:[] (Hashtbl.find_opt a.completed_writes key))
-    with
-    | Some e when e.value <> value ->
-        note a "corrupt read of %s: vn %d has %d, read %d" key vn e.value value
-    | _ -> ()
+    match write_at vn writes with
+    | e ->
+        if e.value <> value then
+          note a "corrupt read of %s: vn %d has %d, read %d" key vn e.value
+            value
+    | exception Not_found -> ()
 
 (** Record one successful write completing at [now] with version [vn]
     of [value]. *)

@@ -14,9 +14,13 @@ type histogram = {
   bounds : float array;  (** upper bounds, ascending; a final +inf
                              bucket is implicit *)
   counts : int array;  (** length [Array.length bounds + 1] *)
-  mutable sum : float;
+  total : total;
   mutable count : int;
 }
+
+(* The running sum sits in a float-only record, which stores it
+   unboxed: adding to it allocates nothing. *)
+and total = { mutable sum : float }
 
 type instrument =
   | Counter of counter
@@ -82,7 +86,7 @@ let histogram t ?(labels = []) ?(buckets = default_buckets) name : histogram =
         {
           bounds = Array.copy buckets;
           counts = Array.make (Array.length buckets + 1) 0;
-          sum = 0.0;
+          total = { sum = 0.0 };
           count = 0;
         }
       in
@@ -103,14 +107,15 @@ let bucket_index (h : histogram) x =
   go 0
 
 let observe (h : histogram) x =
-  h.counts.(bucket_index h x) <- h.counts.(bucket_index h x) + 1;
-  h.sum <- h.sum +. x;
+  let i = bucket_index h x in
+  h.counts.(i) <- h.counts.(i) + 1;
+  h.total.sum <- h.total.sum +. x;
   h.count <- h.count + 1
 
 let hist_count (h : histogram) = h.count
-let hist_sum (h : histogram) = h.sum
+let hist_sum (h : histogram) = h.total.sum
 let hist_mean (h : histogram) =
-  if h.count = 0 then nan else h.sum /. float_of_int h.count
+  if h.count = 0 then nan else h.total.sum /. float_of_int h.count
 
 (** (upper bound, count) pairs, the final pair with bound [infinity]. *)
 let bucket_counts (h : histogram) : (float * int) list =
@@ -163,7 +168,7 @@ let dump t : string =
           Fmt.pf ppf "%s%a %g@." key.name pp_labels key.labels g.g
       | Some (Histogram h) ->
           Fmt.pf ppf "%s%a count=%d sum=%g%a@." key.name pp_labels key.labels
-            h.count h.sum
+            h.count h.total.sum
             Fmt.(
               list ~sep:nop (fun ppf (b, c) ->
                   if b = infinity then Fmt.pf ppf " le_inf=%d" c

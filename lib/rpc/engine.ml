@@ -13,6 +13,16 @@ module Prng = Qc_util.Prng
 
 type verdict = Continue | Done
 
+(* The pending table, keyed by rid.  Rids are small sequential ints, so
+   the key is its own hash; nothing iterates the table, so its bucket
+   order is unobservable. *)
+module Rids = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash r = r land max_int
+end)
+
 (** Multi-key batching: how to wrap several outgoing requests for one
     destination into a single wire message, and how to recognise and
     split an incoming batch reply.  The window is the coalescing
@@ -29,6 +39,10 @@ type op = {
   mutable o_live : bool;
   o_started : float;
   mutable o_calls : packed_call list;
+  mutable o_on_timeout : unit -> unit;
+      (** the caller's deadline handler, dropped when the op finishes:
+          the deadline timer outlives most ops, and must not keep the
+          caller's per-op state alive until it fires *)
   o_ctx : Obs.Ctx.t option;
       (** causal trace context: when present, the engine stamps the
           op's attempt spans, reply/hedge instants and batch-queue
@@ -68,7 +82,7 @@ type 'msg t = {
           cannot perturb loss/latency draws elsewhere *)
   mutable next_rid : int;
   mutable next_stamp : int;
-  pending : (int, 'msg call) Hashtbl.t;
+  pending : 'msg call Rids.t;
   metrics : Obs.Metrics.t;
   labels : (string * string) list;
   m_retries : Obs.Metrics.counter;
@@ -79,9 +93,15 @@ type 'msg t = {
   mutable unbatch : ('msg -> 'msg list option) option;
       (** retained after batching is switched off, so batch replies
           still in flight keep unwrapping *)
-  mutable outq : (string * 'msg * Obs.Trace.span option) list;
-      (** reversed send queue; the span — present only for sends under
-          a trace context — measures the batch-window wait *)
+  mutable q_len : int;
+      (** the send queue: entries [0 .. q_len-1] of the three arrays
+          below, in send order.  The arrays only grow, so queueing a
+          send allocates nothing *)
+  mutable q_dst : string array;
+  mutable q_msg : 'msg array;
+  mutable q_span : Obs.Trace.span option array;
+      (** present only for sends under a trace context: the
+          batch-window wait *)
   mutable flush_armed : bool;
   mutable m_batch_size : Obs.Metrics.histogram option;
       (** created lazily on first enable — a never-batching engine
@@ -116,7 +136,7 @@ let create ~name ~sim ~net ~rid_of ?(policy = Policy.default) ?(cat = "rpc")
     rng = Prng.create seed;
     next_rid = 0;
     next_stamp = 0;
-    pending = Hashtbl.create 16;
+    pending = Rids.create 16;
     metrics;
     labels;
     m_retries = Obs.Metrics.counter metrics ~labels "rpc.retries";
@@ -125,7 +145,10 @@ let create ~name ~sim ~net ~rid_of ?(policy = Policy.default) ?(cat = "rpc")
     m_op_timeouts = Obs.Metrics.counter metrics ~labels "rpc.op_timeouts";
     batching = None;
     unbatch = None;
-    outq = [];
+    q_len = 0;
+    q_dst = [||];
+    q_msg = [||];
+    q_span = [||];
     flush_armed = false;
     m_batch_size = None;
     wctl = None;
@@ -144,56 +167,60 @@ let fresh_rid t =
   t.next_rid <- rid + 1;
   rid
 
-let pending_count t = Hashtbl.length t.pending
+let pending_count t = Rids.length t.pending
 let tracer t = Core.tracer t.sim
 
 (* ---------- batching ---------- *)
 
+(* Does a send queued before position [i] go to [dst]? *)
+let rec queued_before t dst i =
+  i > 0 && (String.equal t.q_dst.(i - 1) dst || queued_before t dst (i - 1))
+
+(* The messages queued for [dst] at positions [i .. n-1], in order. *)
+let rec queued_for t dst i n =
+  if i >= n then []
+  else if String.equal t.q_dst.(i) dst then t.q_msg.(i) :: queued_for t dst (i + 1) n
+  else queued_for t dst (i + 1) n
+
 let flush t =
   t.flush_armed <- false;
-  let queued = List.rev t.outq in
-  t.outq <- [];
+  (* sends never re-enter the engine synchronously, so the queue can
+     be emptied up front and read in place *)
+  let n = t.q_len in
+  t.q_len <- 0;
   (* close every batch-queue-wait span at the flush instant, before
      any send — all queued messages leave now *)
-  List.iter
-    (fun (_, _, sp) ->
-      match sp with
-      | Some sp -> Obs.Trace.end_span (tracer t) sp ()
-      | None -> ())
-    queued;
+  for i = 0 to n - 1 do
+    match t.q_span.(i) with
+    | Some sp ->
+        t.q_span.(i) <- None;
+        Obs.Trace.end_span (tracer t) sp ()
+    | None -> ()
+  done;
   match t.batching with
   | None ->
       (* batching switched off with sends still queued: let them go
          out unwrapped rather than stranding them, each accounted as a
          single-message frame *)
-      List.iter
-        (fun (dst, m, _) ->
-          (match t.m_batch_size with
-          | Some h -> Obs.Metrics.observe h 1.0
-          | None -> ());
-          Net.send t.net ~src:t.name ~dst m)
-        queued
+      for i = 0 to n - 1 do
+        (match t.m_batch_size with
+        | Some h -> Obs.Metrics.observe h 1.0
+        | None -> ());
+        Net.send t.net ~src:t.name ~dst:t.q_dst.(i) t.q_msg.(i)
+      done
   | Some b ->
-      (* group per destination, preserving first-appearance order so
-         the flush is deterministic; a flush reaches a handful of
-         destinations, so a scan beats a table *)
-      let groups =
-        List.fold_left
-          (fun groups (dst, m, _) ->
-            match List.assoc_opt dst groups with
-            | Some l ->
-                l := m :: !l;
-                groups
-            | None -> (dst, ref [ m ]) :: groups)
-          [] queued
-      in
+      (* one frame per destination, destinations in first-appearance
+         order so the flush is deterministic; a flush reaches a handful
+         of destinations, so a scan beats a table *)
       let peak = ref 0 in
-      List.iter
-        (fun (dst, l) ->
-          let msgs = List.rev !l in
-          peak := max !peak (List.length msgs);
+      for i = 0 to n - 1 do
+        let dst = t.q_dst.(i) in
+        if not (queued_before t dst i) then begin
+          let msgs = queued_for t dst i n in
+          let size = List.length msgs in
+          if size > !peak then peak := size;
           (match t.m_batch_size with
-          | Some h -> Obs.Metrics.observe h (float_of_int (List.length msgs))
+          | Some h -> Obs.Metrics.observe h (float_of_int size)
           | None -> ());
           match msgs with
           | [ m ] -> Net.send t.net ~src:t.name ~dst m
@@ -205,22 +232,40 @@ let flush t =
                   ~args:
                     [
                       ("dst", Obs.Trace.Str dst);
-                      ("size", Obs.Trace.Int (List.length ms));
+                      ("size", Obs.Trace.Int size);
                       ("rid", Obs.Trace.Int rid);
                     ]
                   ();
-              Net.send t.net ~src:t.name ~dst ~payloads:(List.length ms)
-                (b.wrap ~rid ms))
-        (List.rev groups);
+              Net.send t.net ~src:t.name ~dst ~payloads:size (b.wrap ~rid ms)
+        end
+      done;
       (* close the loop: the peak per-destination batch size tells the
          controller whether the window is earning its queue delay *)
       (match t.wctl with
-      | Some c when queued <> [] ->
+      | Some c when n > 0 ->
           Window.observe c ~peak:!peak;
           (match t.m_window with
           | Some g -> Obs.Metrics.set g (Window.window c)
           | None -> ())
       | _ -> ())
+
+(* Append one send to the queue, growing the arrays when full. *)
+let enqueue t ~dst msg sp =
+  let n = t.q_len in
+  if n = Array.length t.q_dst then begin
+    let grow a fill =
+      let b = Array.make (max 8 (2 * n)) fill in
+      Array.blit a 0 b 0 n;
+      b
+    in
+    t.q_dst <- grow t.q_dst "";
+    t.q_msg <- grow t.q_msg msg;
+    t.q_span <- grow t.q_span None
+  end;
+  t.q_dst.(n) <- dst;
+  t.q_msg.(n) <- msg;
+  t.q_span.(n) <- sp;
+  t.q_len <- n + 1
 
 (* Every outgoing request funnels through here: with batching off it
    is exactly the historical [Net.send]; with batching on the send is
@@ -241,7 +286,7 @@ let dispatch t ?ctx ~dst msg =
                  ())
         | _ -> None
       in
-      t.outq <- (dst, msg, sp) :: t.outq;
+      enqueue t ~dst msg sp;
       if not t.flush_armed then begin
         t.flush_armed <- true;
         let window =
@@ -272,7 +317,7 @@ let set_batching t b =
       (* a mid-flight disable must not strand queued sends until the
          already-armed timer fires: flush them now, unwrapped (the
          orphaned timer later finds an empty queue and sends nothing) *)
-      if t.outq <> [] then flush t
+      if t.q_len > 0 then flush t
 
 let set_adaptive_window t w =
   (match w with
@@ -291,7 +336,7 @@ let adaptive_window t = t.wctl
 (* Attempt spans exist to see retries and hedges; a fire-once call
    emits nothing, keeping default-policy traces byte-identical. *)
 let instrumented (c : 'msg call) =
-  c.pol.Policy.max_attempts > 1 || c.pol.Policy.hedge_delay <> None
+  c.pol.Policy.max_attempts > 1 || Option.is_some c.pol.Policy.hedge_delay
 
 (* the op's causal stamp, appended to the engine's own event args —
    empty (and allocation-free) without a context *)
@@ -324,9 +369,9 @@ let close_call t (c : 'msg call) ~outcome =
     c.closed <- true;
     (* remove only our own binding: a caller may reuse the rid for a
        successor call registered before this one closes *)
-    (match Hashtbl.find_opt t.pending c.rid with
-    | Some c' when c'.stamp = c.stamp -> Hashtbl.remove t.pending c.rid
-    | _ -> ());
+    (match Rids.find t.pending c.rid with
+    | c' -> if c'.stamp = c.stamp then Rids.remove t.pending c.rid
+    | exception Not_found -> ());
     end_attempt_span t c ~outcome
   end
 
@@ -334,12 +379,18 @@ let close_call t (c : 'msg call) ~outcome =
 
 let start_op ?ctx t ~timeout ~on_timeout =
   let op =
-    { o_live = true; o_started = Core.now t.sim; o_calls = []; o_ctx = ctx }
+    {
+      o_live = true;
+      o_started = Core.now t.sim;
+      o_calls = [];
+      o_on_timeout = on_timeout;
+      o_ctx = ctx;
+    }
   in
   Core.schedule t.sim ~delay:timeout (fun () ->
       if op.o_live then begin
         Obs.Metrics.inc t.m_op_timeouts;
-        on_timeout ()
+        op.o_on_timeout ()
       end);
   op
 
@@ -347,13 +398,18 @@ let op_live op = op.o_live
 let op_started op = op.o_started
 let op_ctx op = op.o_ctx
 
+let rec abandon t = function
+  | [] -> ()
+  | Call c :: rest ->
+      close_call t c ~outcome:"abandoned";
+      abandon t rest
+
 let finish_op t op =
   if op.o_live then begin
     op.o_live <- false;
-    List.iter
-      (fun (Call c) -> close_call t c ~outcome:"abandoned")
-      op.o_calls;
-    op.o_calls <- []
+    abandon t op.o_calls;
+    op.o_calls <- [];
+    op.o_on_timeout <- ignore
   end
 
 (* ---------- calls ---------- *)
@@ -417,9 +473,8 @@ let arm_hedge_timer t (c : 'msg call) =
 let call t ~op ?rid ~targets ?fanout ~make ~on_reply
     ?(on_exhausted = fun () -> ()) () =
   let rid = match rid with Some r -> r | None -> fresh_rid t in
-  let targets = Array.of_list targets in
   let n = Array.length targets in
-  let fanout = match fanout with Some f -> max 1 (min f n) | None -> n in
+  let fanout = match fanout with Some f -> min n (max 1 f) | None -> n in
   let stamp = t.next_stamp in
   t.next_stamp <- stamp + 1;
   let c =
@@ -439,7 +494,7 @@ let call t ~op ?rid ~targets ?fanout ~make ~on_reply
       pol = t.policy;
     }
   in
-  Hashtbl.replace t.pending rid c;
+  Rids.replace t.pending rid c;
   op.o_calls <- Call c :: op.o_calls;
   begin_attempt_span t c;
   send_range t c 0 fanout;
@@ -449,32 +504,30 @@ let call t ~op ?rid ~targets ?fanout ~make ~on_reply
 
 (* ---------- reply dispatch ---------- *)
 
-let target_index (c : 'msg call) src =
-  let rec go i =
-    if i >= Array.length c.targets then None
-    else if String.equal c.targets.(i) src then Some i
-    else go (i + 1)
-  in
-  go 0
+(* The position of [src] in [targets] from [i] on; -1 when absent. *)
+let rec target_index (targets : string array) src i =
+  if i >= Array.length targets then -1
+  else if String.equal targets.(i) src then i
+  else target_index targets src (i + 1)
 
 let handle_one t ~src msg =
-  match Hashtbl.find_opt t.pending (t.rid_of msg) with
-  | None -> () (* stale reply for a finished or superseded call *)
-  | Some c when not (call_live c) -> ()
-  | Some c -> (
-      let tr = tracer t in
-      if Obs.Trace.enabled tr then
-        Obs.Trace.instant tr ~cat:t.cat ~name:"reply" ~track:t.name
-          ~args:
-            ([ ("rid", Obs.Trace.Int c.rid); ("from", Obs.Trace.Str src) ]
-            @ ctx_args c)
-          ();
-      (match target_index c src with
-      | Some i -> c.heard.(i) <- true
-      | None -> ());
-      match c.on_reply ~src msg with
-      | Continue -> ()
-      | Done -> close_call t c ~outcome:"done")
+  match Rids.find t.pending (t.rid_of msg) with
+  | exception Not_found -> () (* stale reply for a finished or superseded call *)
+  | c ->
+      if call_live c then begin
+        let tr = tracer t in
+        if Obs.Trace.enabled tr then
+          Obs.Trace.instant tr ~cat:t.cat ~name:"reply" ~track:t.name
+            ~args:
+              ([ ("rid", Obs.Trace.Int c.rid); ("from", Obs.Trace.Str src) ]
+              @ ctx_args c)
+            ();
+        let i = target_index c.targets src 0 in
+        if i >= 0 then c.heard.(i) <- true;
+        match c.on_reply ~src msg with
+        | Continue -> ()
+        | Done -> close_call t c ~outcome:"done"
+      end
 
 (* Batch replies split into their per-key parts; each part dispatches
    against the pending table under its own original rid. *)
@@ -482,9 +535,15 @@ let rec handle t ~src msg =
   match t.unbatch with
   | Some unwrap -> (
       match unwrap msg with
-      | Some inner -> List.iter (fun m -> handle t ~src m) inner
+      | Some inner -> handle_all t ~src inner
       | None -> handle_one t ~src msg)
   | None -> handle_one t ~src msg
+
+and handle_all t ~src = function
+  | [] -> ()
+  | m :: rest ->
+      handle t ~src m;
+      handle_all t ~src rest
 
 let attach t =
   Net.register t.net ~node:t.name (fun ~src msg -> handle t ~src msg)

@@ -157,7 +157,7 @@ val call :
   'msg t ->
   op:op ->
   ?rid:int ->
-  targets:string list ->
+  targets:string array ->
   ?fanout:int ->
   make:(int -> 'msg) ->
   on_reply:(src:string -> 'msg -> verdict) ->
@@ -186,4 +186,5 @@ val call :
     Replies are matched per target, so duplicate replies (e.g. to a
     retransmission) reach [on_reply] but retransmissions skip targets
     already heard from.  [on_reply] may start further calls or finish
-    the operation. *)
+    the operation.  [targets] is kept as given and never mutated, so a
+    caller may pass the same cached array to many calls. *)

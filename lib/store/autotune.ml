@@ -4,14 +4,6 @@
     by the cluster's re-strategizing epoch, the REPL's [tune] command,
     and the [tables.exe tune] ablation. *)
 
-let to_system (s : Strategy.t) : Tune.Model.system =
-  {
-    Tune.Model.name = s.Strategy.name;
-    n = s.Strategy.n;
-    read_ok = s.Strategy.read_ok;
-    write_ok = s.Strategy.write_ok;
-  }
-
 (** The search space over [n] replicas.  Majority comes first so that
     objective ties resolve to the conservative baseline; the threshold
     sweep covers every read-[r]/write-[w] split of unit votes with
@@ -54,7 +46,7 @@ let choose ?config ~read_fraction ~p_alive ~lat n =
   let cands = List.filter Strategy.legal (candidates n) in
   match
     Tune.Model.choose ?config ~read_fraction ~p_alive ~lat
-      (List.map to_system cands)
+      (List.map Strategy.system cands)
   with
   | None -> None
   | Some (idx, score) -> Some { strategy = List.nth cands idx; score }

@@ -3,8 +3,6 @@
     the cluster's re-strategizing epoch, the REPL's [tune] command and
     the [tables.exe tune] ablation. *)
 
-val to_system : Strategy.t -> Tune.Model.system
-
 val candidates : int -> Strategy.t list
 (** Majority (first, so ties resolve conservatively), the full unit-
     vote threshold sweep (read-[r]/write-[n+1-r], covering rowa and

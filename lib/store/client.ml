@@ -100,6 +100,10 @@ type t = {
           share a name still mint unique ids *)
   mutable next_op : int;  (** per-client operation sequence number *)
   rng : Prng.t;  (** quorum choice in [`Quorum] mode *)
+  mutable by_mask : string array array;
+      (** [`Quorum] routing per chosen quorum mask: its members in
+          replica order, then the rest (the hedge pool).  Filled on
+          first use of each mask; [[||]] until then *)
   own_vns : (string, int) Hashtbl.t;
       (** highest version this client has ever issued per key.  A
           write that times out after installing at a minority leaves
@@ -178,6 +182,7 @@ let create ~name ~sim ~net ~replicas ~strategy ?(timeout = 100.0)
     shard;
     next_op = 0;
     rng = Prng.create seed;
+    by_mask = [||];
     own_vns = Hashtbl.create 16;
     repairs_sent;
     ops_ok;
@@ -216,37 +221,43 @@ let set_adaptive_window t cfg =
 
 let adaptive_window t = Engine.adaptive_window t.eng
 
-let replica_index t name =
-  let rec go i =
-    if i >= Array.length t.replicas then None
-    else if String.equal t.replicas.(i) name then Some i
-    else go (i + 1)
+(* The position of replica [name] from [i] on; -1 when it is not one
+   of ours. *)
+let rec replica_index (replicas : string array) name i =
+  if i >= Array.length replicas then -1
+  else if String.equal replicas.(i) name then i
+  else replica_index replicas name (i + 1)
+
+(* The routing order for quorum [mask]: its members first, then the
+   others, each in replica order. *)
+let route replicas mask =
+  let members, others =
+    List.partition (fun i -> mask land (1 lsl i) <> 0)
+      (List.init (Array.length replicas) Fun.id)
   in
-  go 0
+  Array.of_list (List.map (fun i -> replicas.(i)) (members @ others))
+
+(* [route] for [mask], built once per mask and shared by every call that
+   picks it (the engine never mutates targets). *)
+let mask_targets t mask =
+  if Array.length t.by_mask = 0 then
+    t.by_mask <- Array.make (1 lsl Array.length t.replicas) [||];
+  if mask < 0 || mask >= Array.length t.by_mask then route t.replicas mask
+  else begin
+    if Array.length t.by_mask.(mask) = 0 then
+      t.by_mask.(mask) <- route t.replicas mask;
+    t.by_mask.(mask)
+  end
 
 (* Route per the targeting mode: all replicas (hedge pool empty), or
    the members of one minimal quorum first with the rest as the
-   engine's hedge pool.  [strategy] is the issuing op's captured
-   strategy, not [t.strategy] — see [pending.strategy]. *)
+   engine's hedge pool.  Returns the targets and the fanout (how many
+   of them the first wave reaches).  [strategy] is the issuing op's
+   captured strategy, not [t.strategy] — see [pending.strategy]. *)
 let targets_for t (strategy : Strategy.t) ~side =
   match t.targeting with
-  | `Broadcast -> (Array.to_list t.replicas, None)
+  | `Broadcast -> (t.replicas, Array.length t.replicas)
   | `Quorum ->
-      let masks =
-        match side with
-        | `Read -> Strategy.minimal_read_quorums strategy
-        | `Write -> Strategy.minimal_write_quorums strategy
-      in
-      (* a latency-greedy client prefers the smallest quorums (fewest
-         replies to wait for), random among ties — this is what makes
-         load concentration visible for weighted schemes, whose small
-         quorums all contain the big-vote site *)
-      let min_card =
-        List.fold_left (fun m q -> min m (Strategy.popcount q)) max_int masks
-      in
-      let smallest =
-        List.filter (fun q -> Strategy.popcount q = min_card) masks
-      in
       let steered =
         (* queue-aware steering replaces the random pick on the read
            side only: reads are free to chase shallow queues, while
@@ -260,22 +271,25 @@ let targets_for t (strategy : Strategy.t) ~side =
                 queue = pr.queue_depth;
                 queue_weight = pr.queue_weight;
               }
-              masks
+              (Strategy.minimal_read_quorums strategy)
         | _ -> None
       in
       let mask =
         match steered with
         | Some m -> m
-        | None -> Prng.choose t.rng smallest
+        | None ->
+            (* a latency-greedy client prefers the smallest quorums
+               (fewest replies to wait for), random among ties — this
+               is what makes load concentration visible for weighted
+               schemes, whose small quorums all contain the big-vote
+               site *)
+            Prng.choose t.rng
+              (match side with
+              | `Read -> Strategy.smallest_read_quorums strategy
+              | `Write -> Strategy.smallest_write_quorums strategy)
       in
-      let members = ref [] and others = ref [] in
-      Array.iteri
-        (fun i r ->
-          if mask land (1 lsl i) <> 0 then members := r :: !members
-          else others := r :: !others)
-        t.replicas;
-      let members = List.rev !members in
-      (members @ List.rev !others, Some (List.length members))
+      ( mask_targets t mask,
+        Strategy.popcount (mask land Strategy.full (Array.length t.replicas)) )
 
 (* Push the newest (version, value) to the stale replicas a read saw.
    Fire-and-forget: repairs carry a fresh rid no pending entry ever
@@ -331,45 +345,47 @@ let observe_latency t (p : pending) i =
    and switch a write from query to install under a fresh rid.  All
    quorum checks consult [p.strategy], the op's captured strategy. *)
 let rec on_reply t (p : pending) ~src msg =
-  match (msg, replica_index t src) with
-  | Protocol.Query_rep { vn; value; key; _ }, Some i
-    when String.equal key p.key -> (
-      observe_latency t p i;
-      let bit = 1 lsl i in
-      if p.mask land bit = 0 then begin
-        p.mask <- p.mask lor bit;
-        p.replies <- (i, vn) :: p.replies
-      end;
-      if vn > p.best_vn then begin
-        p.best_vn <- vn;
-        p.best_value <- value
-      end;
-      match p.phase with
-      | PRead ->
-          if p.strategy.Strategy.read_ok p.mask then begin
-            finish t p ~ok:true;
-            Engine.Done
-          end
-          else Engine.Continue
-      | PWrite_query value ->
-          if p.strategy.Strategy.read_ok p.mask then begin
-            start_install t p ~value;
-            Engine.Done
-          end
-          else Engine.Continue
-      | PInstall -> Engine.Continue)
-  | Protocol.Install_ack { key; _ }, Some i when String.equal key p.key -> (
-      observe_latency t p i;
-      match p.phase with
-      | PInstall ->
-          p.mask <- p.mask lor (1 lsl i);
-          if p.strategy.Strategy.write_ok p.mask then begin
-            finish t p ~ok:true;
-            Engine.Done
-          end
-          else Engine.Continue
-      | PRead | PWrite_query _ -> Engine.Continue)
-  | _ -> Engine.Continue
+  let i = replica_index t.replicas src 0 in
+  if i < 0 then Engine.Continue
+  else
+    match msg with
+    | Protocol.Query_rep { vn; value; key; _ } when String.equal key p.key -> (
+        observe_latency t p i;
+        let bit = 1 lsl i in
+        if p.mask land bit = 0 then begin
+          p.mask <- p.mask lor bit;
+          if t.read_repair then p.replies <- (i, vn) :: p.replies
+        end;
+        if vn > p.best_vn then begin
+          p.best_vn <- vn;
+          p.best_value <- value
+        end;
+        match p.phase with
+        | PRead ->
+            if p.strategy.Strategy.read_ok p.mask then begin
+              finish t p ~ok:true;
+              Engine.Done
+            end
+            else Engine.Continue
+        | PWrite_query value ->
+            if p.strategy.Strategy.read_ok p.mask then begin
+              start_install t p ~value;
+              Engine.Done
+            end
+            else Engine.Continue
+        | PInstall -> Engine.Continue)
+    | Protocol.Install_ack { key; _ } when String.equal key p.key -> (
+        observe_latency t p i;
+        match p.phase with
+        | PInstall ->
+            p.mask <- p.mask lor (1 lsl i);
+            if p.strategy.Strategy.write_ok p.mask then begin
+              finish t p ~ok:true;
+              Engine.Done
+            end
+            else Engine.Continue
+        | PRead | PWrite_query _ -> Engine.Continue)
+    | _ -> Engine.Continue
 
 (* Move a write from the query phase to the install phase: a new rid,
    a fresh reply mask, same pending record (latency spans both). *)
@@ -397,7 +413,7 @@ and start_install t (p : pending) ~value =
 and gather t (p : pending) ~rid ~side make =
   let targets, fanout = targets_for t p.strategy ~side in
   ignore
-    (Engine.call t.eng ~op:p.op ~rid ~targets ?fanout ~make
+    (Engine.call t.eng ~op:p.op ~rid ~targets ~fanout ~make
        ~on_reply:(fun ~src msg -> on_reply t p ~src msg)
        ())
 
@@ -469,7 +485,7 @@ let start_op t ~key ~phase ~on_done =
       key;
       strategy = t.strategy;
       phase;
-      phase_started = Core.now t.sim;
+      phase_started = Engine.op_started op;
       rid;
       mask = 0;
       best_vn = 0;
@@ -507,7 +523,7 @@ let install t ~key ~vn ~value ~on_done =
   p.best_value <- value;
   ignore
     (Engine.call t.eng ~op:p.op ~rid:p.rid
-       ~targets:(Array.to_list t.replicas)
+       ~targets:t.replicas
        ~make:(fun rid -> Protocol.Install_req { rid; key; vn; value; ctx = p.ctx })
        ~on_reply:(fun ~src msg -> on_reply t p ~src msg)
        ())

@@ -53,6 +53,8 @@ type t = {
           mint unique ids *)
   mutable next_op : int;  (** per-client operation sequence number *)
   rng : Qc_util.Prng.t;
+  mutable by_mask : string array array;
+      (** [`Quorum] routing per quorum mask, built on first use *)
   own_vns : (string, int) Hashtbl.t;
       (** highest version issued per key — the single writer never
           reuses a version, even past a timed-out install that left

@@ -249,6 +249,7 @@ type ctx = {
   sim : Core.t;
   wrng : Prng.t;  (* every workload draw: think times, ops, footprints *)
   zipf : Workload.zipf;
+  names : string array;  (* every key's name, by key index *)
   shard_of : string -> int;
   total : int;  (* workload units (ops or txns) the clients issue *)
   health : Obs.Health.t option;
@@ -273,7 +274,12 @@ type ctx = {
       (* units finished for good (a retried txn counts once) — when it
          reaches [total] the health sampler and the optimizer stop, so
          the event queue drains *)
-  mutable completions : (float * bool) list;  (* newest first *)
+  mutable done_at : float array;
+      (* completion log, chronological: entries [0 .. n_done-1] of
+         [done_at]/[done_ok].  It lives for the whole run, so arrays,
+         not a list whose cells the GC would promote one by one *)
+  mutable done_ok : bool array;
+  mutable n_done : int;
   mutable health_samples : Obs.Health.snapshot list;  (* newest first *)
   mutable switches : (float * int * string) list;  (* newest first *)
 }
@@ -286,6 +292,7 @@ let create_ctx p sim ~health =
     zipf =
       Workload.zipf ~n:p.workload.Workload.n_keys
         ~s:p.workload.Workload.zipf_s;
+    names = Workload.key_names p.workload;
     shard_of =
       Router.shard_fn p.shard_scheme ~n_shards:p.n_shards
         ~n_keys:p.workload.Workload.n_keys;
@@ -311,10 +318,26 @@ let create_ctx p sim ~health =
     shard_reads = Array.make p.n_shards 0;
     shard_writes = Array.make p.n_shards 0;
     completed = 0;
-    completions = [];
+    done_at = [||];
+    done_ok = [||];
+    n_done = 0;
     health_samples = [];
     switches = [];
   }
+
+let log_completion cx ~ok =
+  let n = cx.n_done in
+  if n = Array.length cx.done_at then begin
+    let cap = max 64 (2 * n) in
+    let at = Array.make cap 0.0 and oks = Array.make cap false in
+    Array.blit cx.done_at 0 at 0 n;
+    Array.blit cx.done_ok 0 oks 0 n;
+    cx.done_at <- at;
+    cx.done_ok <- oks
+  end;
+  cx.done_at.(n) <- Core.now cx.sim;
+  cx.done_ok.(n) <- ok;
+  cx.n_done <- n + 1
 
 (* The one completion handler of a single-key op: tallies, health feed
    and completion log. *)
@@ -335,7 +358,7 @@ let op_done cx ~shard ~read ~ok ~latency =
     if read then cx.failed_reads <- cx.failed_reads + 1
     else cx.failed_writes <- cx.failed_writes + 1
   end;
-  cx.completions <- (Core.now cx.sim, ok) :: cx.completions;
+  log_completion cx ~ok;
   cx.completed <- cx.completed + 1
 
 (* Issue one single-key op; [k] continues the client's loop.  Reads and
@@ -343,31 +366,41 @@ let op_done cx ~shard ~read ~ok ~latency =
 let run_op cx (c : Router.t) (op : Workload.op) ~k =
   match op with
   | Read key ->
-      let started = Core.now cx.sim in
+      let started = Core.now cx.sim and shard = cx.shard_of key in
       Router.read c ~key ~on_done:(fun ~ok ~vn ~value ~latency ->
-          op_done cx ~shard:(cx.shard_of key) ~read:true ~ok ~latency;
+          op_done cx ~shard ~read:true ~ok ~latency;
           if ok then Harness.Check.read_ok cx.audit ~key ~started ~vn ~value;
           k ())
   | Write (key, v) ->
+      let shard = cx.shard_of key in
       Router.write c ~key ~value:v ~on_done:(fun ~ok ~vn ~value:_ ~latency ->
-          op_done cx ~shard:(cx.shard_of key) ~read:false ~ok ~latency;
+          op_done cx ~shard ~read:false ~ok ~latency;
           if ok then
             Harness.Check.write_ok cx.audit ~key ~vn ~value:v
               ~now:(Core.now cx.sim);
           k ())
 
-(* Single-writer-per-key holds between bursts but not within one: a
-   repeat write to the same key inside a burst becomes a read, so
-   concurrent same-key writes never race. *)
-let demote_repeat_writes ops =
-  let rec go written = function
-    | [] -> []
-    | Workload.Write (key, _) :: rest when List.mem key written ->
-        Workload.Read key :: go written rest
-    | (Workload.Write (key, _) as op) :: rest -> op :: go (key :: written) rest
-    | op :: rest -> op :: go written rest
-  in
-  go [] ops
+(* Draw and issue ops [j .. b-1] of client [ci]'s burst.  Single-writer-
+   per-key holds between bursts but not within one: a repeat write to a
+   key already [written] in this burst becomes a read, so concurrent
+   same-key writes never race.  Issuing as each op is drawn keeps every
+   draw in order: no op completes, and so no next burst draws, before
+   the whole burst is out. *)
+let rec issue_burst cx (c : Router.t) ~ci ~op_counter ~k j b written =
+  if j < b then
+    match
+      Workload.next_op cx.p.workload cx.zipf cx.wrng ~names:cx.names ~ci
+        ~n_clients:cx.p.n_clients ~op_counter:(op_counter + j)
+    with
+    | Workload.Write (key, _) when List.mem key written ->
+        run_op cx c (Workload.Read key) ~k;
+        issue_burst cx c ~ci ~op_counter ~k (j + 1) b written
+    | Workload.Write (key, _) as op ->
+        run_op cx c op ~k;
+        issue_burst cx c ~ci ~op_counter ~k (j + 1) b (key :: written)
+    | op ->
+        run_op cx c op ~k;
+        issue_burst cx c ~ci ~op_counter ~k (j + 1) b written
 
 (* The closed-loop op driver, one loop per client: think, then issue
    [burst] ops concurrently and wait for the whole burst. *)
@@ -379,17 +412,12 @@ let drive_ops cx clients =
       let think = Prng.exponential cx.wrng ~mean:w.Workload.think_time in
       Core.schedule cx.sim ~delay:think (fun () ->
           let b = min burst remaining in
-          let ops =
-            List.init b (fun j ->
-                Workload.next_op w cx.zipf cx.wrng ~ci ~n_clients:cx.p.n_clients
-                  ~op_counter:(op_counter + j))
-          in
           let outstanding = ref b in
           let k () =
             decr outstanding;
             if !outstanding = 0 then issue ci c (remaining - b) (op_counter + b)
           in
-          List.iter (fun op -> run_op cx c op ~k) (demote_repeat_writes ops))
+          issue_burst cx c ~ci ~op_counter ~k 0 b [])
   in
   List.iteri (fun ci c -> issue ci c w.Workload.ops_per_client ci) clients
 
@@ -398,7 +426,7 @@ let footprint cx n =
   let keys = ref [] and have = ref 0 and tries = ref 0 in
   while !have < n && !tries < 100 * n do
     incr tries;
-    let k = Workload.key_name (Workload.sample cx.zipf cx.wrng) in
+    let k = Workload.name_in cx.names (Workload.sample cx.zipf cx.wrng) in
     if not (List.exists (String.equal k) !keys) then begin
       keys := k :: !keys;
       incr have
@@ -451,8 +479,7 @@ let drive_txns cx clients spec =
                   Txn.execute coord ~reads ~writes
                     ~on_done:(fun ~committed ~reads:rsnap ~writes:wset
                                   ~latency ->
-                      cx.completions <-
-                        (Core.now sim, committed) :: cx.completions;
+                      log_completion cx ~ok:committed;
                       if committed then begin
                         cx.ok_txns <- cx.ok_txns + 1;
                         Sim.Stats.add cx.txn_lat latency;
@@ -509,7 +536,7 @@ let restrategize cx ~clients ~strategies ~transitioning s next_s =
     let started = Core.now sim in
     set_shard_strategy clients s j;
     let keys =
-      List.init cx.p.workload.Workload.n_keys Workload.key_name
+      List.init cx.p.workload.Workload.n_keys (Workload.name_in cx.names)
       |> List.filter (fun k -> cx.shard_of k = s)
     in
     let pending = ref (List.length keys) and failed = ref false in
@@ -770,7 +797,7 @@ let run (p : params) : results =
     trace = tracer;
     metrics;
     health = List.rev cx.health_samples;
-    completions = List.rev cx.completions;
+    completions = List.init cx.n_done (fun i -> (cx.done_at.(i), cx.done_ok.(i)));
     txn_run = Option.is_some p.txns;
     ok_txns = cx.ok_txns;
     failed_txns = cx.failed_txns;

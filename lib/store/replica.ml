@@ -145,7 +145,9 @@ let create ?metrics ?(extra_labels = []) ?storage ?(group_commit = true)
   }
 
 let lookup t key =
-  Option.value ~default:(0, 0) (Hashtbl.find_opt t.data key)
+  match Hashtbl.find t.data key with
+  | entry -> entry
+  | exception Not_found -> (0, 0)
 
 (** Queries + installs handled — the "load" dimension quorum targeting
     tunes. *)
@@ -481,6 +483,14 @@ let rec drain t ~(tr : Obs.Trace.t) =
                 drain t ~tr))
       end
 
+(* The filled reply slots at positions [0 .. i], in slot order, before
+   [acc]. *)
+let rec filled_slots slots filled i acc =
+  if i < 0 then acc
+  else
+    filled_slots slots filled (i - 1)
+      (if filled.(i) then slots.(i) :: acc else acc)
+
 (* a request's causal stamp, appended to the replica's instant args —
    empty (and allocation-free) for unstamped frames *)
 let ctx_args = function None -> [] | Some cx -> Obs.Ctx.args cx
@@ -490,7 +500,7 @@ let ctx_args = function None -> [] | Some cx -> Obs.Ctx.args cx
    batch frame replies when its last part has).  Non-requests get no
    reply.  [src] identifies the sender — recovery-leader bookkeeping
    (phase-1b/2b quorum counting) needs it; request handling does not. *)
-let[@lint.protocol_handler] rec serve t ?(src = "") ~(tr : Obs.Trace.t) ~reply
+let[@lint.protocol_handler] rec serve t ~src ~(tr : Obs.Trace.t) ~reply
     msg =
   match msg with
   | Protocol.Query_req { rid; key; ctx } ->
@@ -556,17 +566,13 @@ let[@lint.protocol_handler] rec serve t ?(src = "") ~(tr : Obs.Trace.t) ~reply
            once every part that will reply has (pipelined installs make
            that asynchronous — the batch reply then carries the whole
            group's acks after their shared fsync) *)
-        let slots = Array.make n None in
+        let slots = Array.make n msg and filled = Array.make n false in
         let remaining = ref n in
         let part_done () =
           decr remaining;
           if !remaining = 0 then
             reply
-              (Protocol.Batch_rep
-                 {
-                   rid;
-                   reps = List.filter_map Fun.id (Array.to_list slots);
-                 })
+              (Protocol.Batch_rep { rid; reps = filled_slots slots filled (n - 1) [] })
         in
         List.iteri
           (fun i part ->
@@ -576,7 +582,8 @@ let[@lint.protocol_handler] rec serve t ?(src = "") ~(tr : Obs.Trace.t) ~reply
             | Protocol.Txn_p1a _ | Protocol.Txn_p2a _ | Protocol.Txn_decide _
               ->
                 serve t ~src ~tr part ~reply:(fun rep ->
-                    slots.(i) <- Some rep;
+                    slots.(i) <- rep;
+                    filled.(i) <- true;
                     part_done ())
             | Protocol.Query_rep _ | Protocol.Install_ack _
             | Protocol.Batch_rep _ | Protocol.Txn_vote _ | Protocol.Txn_p1b _
@@ -683,7 +690,7 @@ let[@lint.protocol_handler] rec serve t ?(src = "") ~(tr : Obs.Trace.t) ~reply
    surfaces as [None]. *)
 let handle_one t ~tr msg =
   let out = ref None in
-  serve t ~tr ~reply:(fun rep -> out := Some rep) msg;
+  serve t ~src:"" ~tr ~reply:(fun rep -> out := Some rep) msg;
   !out
 
 (** Attach the replica to the network. *)

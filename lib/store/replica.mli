@@ -139,7 +139,7 @@ val locked_keys : t -> (string * string) list
 
 val serve :
   t ->
-  ?src:string ->
+  src:string ->
   tr:Obs.Trace.t ->
   reply:(Protocol.msg -> unit) ->
   Protocol.msg ->
@@ -148,8 +148,9 @@ val serve :
     synchronously for queries and storage-free installs, after the
     group's fsync for pipelined installs; a batch frame replies once
     its last part has.  Non-requests produce no reply.  [src] names
-    the sender; recovery-leader bookkeeping (phase-1b/2b quorum
-    counting) needs it, request handling does not. *)
+    the sender ([""] for none); recovery-leader bookkeeping
+    (phase-1b/2b quorum counting) needs it, request handling does
+    not. *)
 
 val handle_one : t -> tr:Obs.Trace.t -> Protocol.msg -> Protocol.msg option
 (** The synchronous view of {!serve}: the reply produced in the same

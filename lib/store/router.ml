@@ -31,10 +31,9 @@ let scheme_label = function `Hash -> "hash" | `Range -> "range"
    under us. *)
 let fnv1a key =
   let h = ref 0x3bf29ce484222325 in
-  String.iter
-    (fun ch ->
-      h := (!h lxor Char.code ch) * 0x100000001b3)
-    key;
+  for i = 0 to String.length key - 1 do
+    h := (!h lxor Char.code key.[i]) * 0x100000001b3
+  done;
   !h land max_int
 
 (* The numeric suffix of a key named like "k12"; [None] when the key
@@ -117,9 +116,9 @@ let attach t =
   if Array.length t.shards = 1 then Client.attach t.shards.(0)
   else
     Net.register t.net ~node:t.name (fun ~src msg ->
-        match Hashtbl.find_opt t.owner src with
-        | Some s -> Client.handle t.shards.(s) ~src msg
-        | None -> ())
+        match Hashtbl.find t.owner src with
+        | s -> Client.handle t.shards.(s) ~src msg
+        | exception Not_found -> ())
 
 (** Group keys by owning shard: one (shard, keys) pair per shard that
     owns at least one of the input keys, shards in first-appearance

@@ -8,7 +8,7 @@
     here: read-one/write-all, majority, Gifford's weighted voting, and
     grid quorums; [primary] is the non-replicated baseline. *)
 
-module Prng = Qc_util.Prng
+module Model = Tune.Model
 
 type t = {
   name : string;
@@ -17,13 +17,26 @@ type t = {
   write_ok : int -> bool;
   min_read : int;  (** size of the smallest read quorum *)
   min_write : int;
+  tables : tables Lazy.t;
 }
 
-let popcount m =
-  let rec go m acc = if m = 0 then acc else go (m lsr 1) (acc + (m land 1)) in
-  go m 0
+(* The strategy's quorum lists, enumerated once on first use: every
+   targeted operation picks from them, so re-deriving them per
+   operation (an exponential scan) is pure waste. *)
+and tables = {
+  minimal_reads : int list;
+  minimal_writes : int list;
+  smallest_reads : int list;
+  smallest_writes : int list;
+}
 
-let full n = (1 lsl n) - 1
+(* The bitmask helpers live in {!Tune.Model}, which sits below this
+   library; one copy serves both. *)
+let popcount = Model.popcount
+let full = Model.full
+
+let system t =
+  { Model.name = t.name; n = t.n; read_ok = t.read_ok; write_ok = t.write_ok }
 
 (* smallest popcount among masks satisfying ok *)
 let min_quorum n ok =
@@ -33,7 +46,23 @@ let min_quorum n ok =
   done;
   if !best > n then n else !best
 
+(** All minimal quorums of [ok] as bitmasks, in descending mask order
+    (the order targeted sends pick from by position).  Exponential
+    enumeration (n <= ~12). *)
+let minimal_quorums ok n = List.rev (Model.minimal_quorums ok n)
+
 let make ~name ~n ~read_ok ~write_ok =
+  let tables =
+    lazy
+      (let minimal_reads = minimal_quorums read_ok n
+       and minimal_writes = minimal_quorums write_ok n in
+       {
+         minimal_reads;
+         minimal_writes;
+         smallest_reads = Model.smallest minimal_reads;
+         smallest_writes = Model.smallest minimal_writes;
+       })
+  in
   {
     name;
     n;
@@ -41,21 +70,14 @@ let make ~name ~n ~read_ok ~write_ok =
     write_ok;
     min_read = min_quorum n read_ok;
     min_write = min_quorum n write_ok;
+    tables;
   }
 
 (** Sanity: every read quorum intersects every write quorum —
     equivalently, no disjoint pair (r, w) with read_ok r and
-    write_ok w.  Exact check by enumeration (n <= ~12). *)
-let legal t =
-  let f = full t.n in
-  let ok = ref true in
-  for r = 1 to f do
-    if t.read_ok r then
-      let complement = f land lnot r in
-      (* any write quorum inside the complement would be disjoint *)
-      if t.write_ok complement then ok := false
-  done;
-  !ok
+    write_ok w, the empty read quorum included.  Exact check by
+    enumeration (n <= ~12). *)
+let legal t = Model.legal (system t)
 
 let rowa n =
   make ~name:"read-one/write-all" ~n
@@ -159,20 +181,14 @@ let availability t ~p =
 
 (** All minimal read (resp. write) quorums as bitmasks — used by the
     targeted-send client mode, which messages one quorum instead of
-    broadcasting.  Exponential enumeration (n <= ~12). *)
-let minimal_quorums ok n =
-  let all = ref [] in
-  for m = 1 to full n do
-    if ok m then all := m :: !all
-  done;
-  let masks = !all in
-  List.filter
-    (fun q ->
-      not (List.exists (fun q' -> q' <> q && q' land lnot q = 0) masks))
-    masks
+    broadcasting. *)
+let minimal_read_quorums t = (Lazy.force t.tables).minimal_reads
+let minimal_write_quorums t = (Lazy.force t.tables).minimal_writes
 
-let minimal_read_quorums t = minimal_quorums t.read_ok t.n
-let minimal_write_quorums t = minimal_quorums t.write_ok t.n
+(** The minimal quorums of least cardinality, in the same order — what
+    a latency-greedy targeted client picks among. *)
+let smallest_read_quorums t = (Lazy.force t.tables).smallest_reads
+let smallest_write_quorums t = (Lazy.force t.tables).smallest_writes
 
 (** The live-replica bitmask for a predicate of liveness. *)
 let mask_of_live ~n is_live =

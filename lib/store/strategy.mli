@@ -9,15 +9,23 @@ type t = {
   write_ok : int -> bool;
   min_read : int;  (** size of the smallest read quorum *)
   min_write : int;
+  tables : tables Lazy.t;
+      (** minimal and smallest quorum lists, enumerated on first use *)
 }
+
+and tables
 
 val popcount : int -> int
 val full : int -> int
+
+val system : t -> Tune.Model.system
+(** The strategy as a {!Tune.Model} system (same predicates). *)
+
 val make : name:string -> n:int -> read_ok:(int -> bool) -> write_ok:(int -> bool) -> t
 
 val legal : t -> bool
-(** No disjoint (read-quorum, write-quorum) pair — exact check by
-    enumeration (n <= ~12). *)
+(** No disjoint (read-quorum, write-quorum) pair, the empty read
+    quorum included — {!Tune.Model.legal} on {!system}. *)
 
 val rowa : int -> t
 val majority : int -> t
@@ -44,8 +52,16 @@ val availability : t -> p:float -> float * float
     is independently alive with probability [p] — exact enumeration. *)
 
 val minimal_read_quorums : t -> int list
-(** All minimal read quorums, as bitmasks (for targeted sends). *)
+(** All minimal read quorums, as bitmasks in descending mask order
+    (for targeted sends).  Computed once per strategy. *)
 
 val minimal_write_quorums : t -> int list
+
+val smallest_read_quorums : t -> int list
+(** The minimal read quorums of least cardinality, in the order of
+    {!minimal_read_quorums} — a targeted client picks among them by
+    position.  Computed once per strategy. *)
+
+val smallest_write_quorums : t -> int list
 
 val mask_of_live : n:int -> (int -> bool) -> int

@@ -204,7 +204,7 @@ let execute t ?(reads = []) ?(writes = []) ~on_done () : string =
           let mask = ref 0 in
           ignore
             (Engine.call p.p_client.Client.eng ~op:p.p_op
-               ~targets:(Array.to_list replicas)
+               ~targets:replicas
                ~make:(fun rid ->
                  Protocol.Txn_decide
                    { rid; txid; commit = true; writes = final_writes; ctx = None })
@@ -253,7 +253,7 @@ let execute t ?(reads = []) ?(writes = []) ~on_done () : string =
         (fun p ->
           ignore
             (Engine.call p.p_client.Client.eng ~op:p.p_op
-               ~targets:(Array.to_list p.p_client.Client.replicas)
+               ~targets:p.p_client.Client.replicas
                ~make:(fun rid ->
                  Protocol.Txn_p2a
                    { rid; txid; bal = 0; commit = true; writes = fw; ctx = None })
@@ -320,7 +320,7 @@ let execute t ?(reads = []) ?(writes = []) ~on_done () : string =
         let mask = ref 0 in
         ignore
           (Engine.call p.p_client.Client.eng ~op:p.p_op
-             ~targets:(Array.to_list replicas)
+             ~targets:replicas
              ~make:(fun rid ->
                Protocol.Txn_prepare
                  {

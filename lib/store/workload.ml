@@ -25,17 +25,16 @@ let zipf ~n ~s =
     weights;
   { cdf }
 
+(* Binary search for the first index in [lo, hi] with cdf >= u. *)
+let rec first_at_least (cdf : float array) (u : float) lo hi =
+  if lo >= hi then lo
+  else
+    let mid = (lo + hi) / 2 in
+    if cdf.(mid) >= u then first_at_least cdf u lo mid
+    else first_at_least cdf u (mid + 1) hi
+
 let sample z rng =
-  let u = Prng.float rng in
-  let n = Array.length z.cdf in
-  (* binary search for the first index with cdf >= u *)
-  let rec go lo hi =
-    if lo >= hi then lo
-    else
-      let mid = (lo + hi) / 2 in
-      if z.cdf.(mid) >= u then go lo mid else go (mid + 1) hi
-  in
-  go 0 (n - 1)
+  first_at_least z.cdf (Prng.float rng) 0 (Array.length z.cdf - 1)
 
 type spec = {
   n_keys : int;
@@ -65,15 +64,26 @@ type op = Read of string | Write of string * int
 
 let key_name i = "k" ^ string_of_int i
 
-(** The next operation for [client] (index [ci] of [n_clients]):
-    reads go anywhere; writes are restricted to keys this client owns
-    (key index mod n_clients = ci). *)
-let next_op spec z rng ~ci ~n_clients ~op_counter : op =
-  if Prng.float rng < spec.read_fraction then
-    Read (key_name (sample z rng))
+(** The run's key-name table: slot [i] holds [key_name i] once key [i]
+    has been drawn ([""] before).  One table per run means drawing an
+    operation allocates no string after a key's first use. *)
+let key_names spec = Array.make (max 0 spec.n_keys) ""
+
+(* Key [k]'s name from the table, filled on first use.  A write falls
+   back to key [ci], which lies past the table when there are more
+   clients than keys. *)
+let name_in names k =
+  if k >= Array.length names then key_name k
+  else begin
+    if String.length names.(k) = 0 then names.(k) <- key_name k;
+    names.(k)
+  end
+
+let next_op spec z rng ~names ~ci ~n_clients ~op_counter : op =
+  if Prng.float rng < spec.read_fraction then Read (name_in names (sample z rng))
   else
     (* project the sampled key onto this client's ownership class *)
     let k = sample z rng in
     let k = k - (k mod n_clients) + ci in
     let k = if k < spec.n_keys then k else ci in
-    Write (key_name k, (op_counter * 1000) + ci)
+    Write (name_in names k, (op_counter * 1000) + ci)

@@ -27,7 +27,23 @@ type op = Read of string | Write of string * int
 
 val key_name : int -> string
 
+val key_names : spec -> string array
+(** A run's key-name table for {!next_op} and {!name_in}: one slot per
+    key, filled with [key_name i] on first use. *)
+
+val name_in : string array -> int -> string
+(** [name_in names i] is [key_name i], taken from (and memoised in)
+    the table [names] when [i] lies inside it. *)
+
 val next_op :
-  spec -> zipf -> Qc_util.Prng.t -> ci:int -> n_clients:int -> op_counter:int -> op
+  spec ->
+  zipf ->
+  Qc_util.Prng.t ->
+  names:string array ->
+  ci:int ->
+  n_clients:int ->
+  op_counter:int ->
+  op
 (** The next operation for client [ci]: reads anywhere, writes only to
-    keys the client owns (key index mod n_clients = ci). *)
+    keys the client owns (key index mod n_clients = ci).  [names] is
+    {!key_names} of the spec. *)

@@ -17,10 +17,11 @@
       quorum is fully alive under independent replica failures.
 
     Everything is exhaustive over the [2^n] masks — systems here are
-    small (n ≤ 12 or so), exactly like [Store.Strategy].  The module
-    deliberately mirrors a few of [Store.Strategy]'s bitmask helpers
-    rather than depending on it: [tune] sits below [store] so the
-    store's client can consume [Ewma]/[Steer] without a cycle. *)
+    small (n ≤ 12 or so), exactly like [Store.Strategy].  The bitmask
+    helpers ([popcount], [full], [legal], [minimal_quorums]) live here
+    and [Store.Strategy] delegates to them: [tune] sits below [store]
+    so the store's client can consume [Ewma]/[Steer] without a
+    cycle. *)
 
 type system = {
   name : string;

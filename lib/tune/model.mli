@@ -17,6 +17,10 @@ val legal : system -> bool
 (** Every read quorum intersects every write quorum: no mask [r] with
     [read_ok r] may leave [write_ok] satisfiable on its complement. *)
 
+val minimal_quorums : (int -> bool) -> int -> int list
+(** [minimal_quorums ok n]: the masks satisfying [ok] with no proper
+    subset satisfying it, in ascending mask order. *)
+
 val minimal_read_quorums : system -> int list
 val minimal_write_quorums : system -> int list
 

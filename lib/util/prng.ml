@@ -6,18 +6,26 @@
     We deliberately avoid [Stdlib.Random] because its state is global
     and its algorithm is not stable across OCaml releases. *)
 
-type t = { mutable state : int64 }
+(* The 64-bit splitmix state lives unboxed in 8 bytes, read and
+   written with [Bytes.get_int64_le]/[set_int64_le].  A mutable [int64]
+   record field would box a fresh state on every draw; here a draw
+   allocates nothing, because the mix below is inlined into each
+   draw function and its [int64] temporaries stay in registers. *)
+type t = Bytes.t
 
-let create seed = { state = Int64.of_int seed }
+let create seed =
+  let t = Bytes.create 8 in
+  Bytes.set_int64_le t 0 (Int64.of_int seed);
+  t
 
-let copy t = { state = t.state }
+let copy = Bytes.copy
 
 (* One splitmix64 step: advance by the golden-gamma constant and mix. *)
-let next_int64 t =
+let[@inline always] next_int64 t =
   let open Int64 in
-  t.state <- add t.state 0x9E3779B97F4A7C15L;
-  let z = t.state in
-  let z = mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
+  let s = add (Bytes.get_int64_le t 0) 0x9E3779B97F4A7C15L in
+  Bytes.set_int64_le t 0 s;
+  let z = mul (logxor s (shift_right_logical s 30)) 0xBF58476D1CE4E5B9L in
   let z = mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL in
   logxor z (shift_right_logical z 31)
 

@@ -120,7 +120,7 @@ and start_install t (p : pending) ~value =
   p.awaiting <- t.view.View.members;
   let view = t.view.View.id in
   ignore
-    (Engine.call t.eng ~op:p.op ~rid ~targets:t.view.View.members
+    (Engine.call t.eng ~op:p.op ~rid ~targets:(Array.of_list t.view.View.members)
        ~make:(fun rid ->
          Protocol.Write_req { rid; view; key = p.key; vn = p.vn; value })
        ~on_reply:(fun ~src msg -> on_reply t p ~src msg)
@@ -152,7 +152,7 @@ let read t ~key ~on_done =
   let rest = List.filter (fun r -> r <> first) t.view.View.members in
   let view = t.view.View.id in
   ignore
-    (Engine.call t.eng ~op:p.op ~rid:p.rid ~targets:(first :: rest) ~fanout:1
+    (Engine.call t.eng ~op:p.op ~rid:p.rid ~targets:(Array.of_list (first :: rest)) ~fanout:1
        ~make:(fun rid -> Protocol.Read_req { rid; view; key })
        ~on_reply:(fun ~src msg -> on_reply t p ~src msg)
        ())
@@ -164,7 +164,7 @@ let write t ~key ~value ~on_done =
   p.awaiting <- t.view.View.members;
   let view = t.view.View.id in
   ignore
-    (Engine.call t.eng ~op:p.op ~rid:p.rid ~targets:t.view.View.members
+    (Engine.call t.eng ~op:p.op ~rid:p.rid ~targets:(Array.of_list t.view.View.members)
        ~make:(fun rid -> Protocol.Read_req { rid; view; key })
        ~on_reply:(fun ~src msg -> on_reply t p ~src msg)
        ())

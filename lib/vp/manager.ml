@@ -100,7 +100,7 @@ let change_view t ~members ~on_done =
       let heard = Hashtbl.create 8 in
       let awaiting = ref (List.length members) in
       ignore
-        (Engine.call t.eng ~op ~targets:members
+        (Engine.call t.eng ~op ~targets:(Array.of_list members)
            ~make:(fun rid ->
              Protocol.Install { rid; view_id; members; state = merged })
            ~on_reply:(fun ~src msg ->
@@ -123,7 +123,7 @@ let change_view t ~members ~on_done =
     let awaiting = ref (List.length members) in
     let states = ref [] in
     ignore
-      (Engine.call t.eng ~op ~targets:members
+      (Engine.call t.eng ~op ~targets:(Array.of_list members)
          ~make:(fun rid -> Protocol.State_req { rid })
          ~on_reply:(fun ~src msg ->
            match msg with

@@ -72,7 +72,7 @@ let replica_world ~group_commit ~fsync_cost =
   let tr = Obs.Trace.create ~capacity:1024 () in
   let replies = ref [] in
   let install ~rid ~vn =
-    Store.Replica.serve r ~tr
+    Store.Replica.serve r ~src:"c0" ~tr
       ~reply:(fun m -> replies := (m, Core.now sim) :: !replies)
       (Store.Protocol.Install_req { rid; key = "k"; vn; value = vn * 10; ctx = None })
   in

@@ -53,7 +53,7 @@ let gather ~sim ~eng ~k ~timeout ?fanout ?(targets = servers) () =
   op_ref := Some op;
   let got = ref 0 in
   ignore
-    (Engine.call eng ~op ~targets ?fanout
+    (Engine.call eng ~op ~targets:(Array.of_list targets) ?fanout
        ~make:(fun rid -> Req rid)
        ~on_reply:(fun ~src:_ _ ->
          incr got;

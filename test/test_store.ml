@@ -33,6 +33,86 @@ let test_strategy_min_quorums () =
   (* one full row (3) + one per other row (1) *)
   Alcotest.(check int) "grid min write" 4 g.Strategy.min_write
 
+(* An empty read quorum (every mask, 0 included, reads) is disjoint
+   from the write quorum {all}: the strategy is illegal.  Scanning
+   read masks from 1 missed it, so [Strategy.legal] said yes while
+   [Tune.Model.legal] said no. *)
+let test_legal_empty_read_quorum () =
+  let s =
+    Strategy.make ~name:"empty-read" ~n:3
+      ~read_ok:(fun _ -> true)
+      ~write_ok:(fun m -> m = 7)
+  in
+  Alcotest.(check bool) "Tune.Model says illegal" false
+    (Tune.Model.legal (Strategy.system s));
+  Alcotest.(check bool) "Strategy.legal agrees" false (Strategy.legal s)
+
+(* The quorum tables are computed once per strategy; the oracle is the
+   per-operation derivation they replace — every mask from the full set
+   down, the minimal ones kept, then those of least cardinality.  Order
+   matters as much as content: a targeted client picks by position. *)
+let spec_minimal ok n =
+  let all = ref [] in
+  for m = 1 to Strategy.full n do
+    if ok m then all := m :: !all
+  done;
+  let masks = !all in
+  List.filter
+    (fun q ->
+      not (List.exists (fun q' -> q' <> q && q' land lnot q = 0) masks))
+    masks
+
+let spec_smallest masks =
+  let card =
+    List.fold_left (fun m q -> min m (Strategy.popcount q)) max_int masks
+  in
+  List.filter (fun q -> Strategy.popcount q = card) masks
+
+let test_quorum_tables () =
+  let families n =
+    let maj = Strategy.majority n in
+    let total = n + 1 in
+    let r = (total / 2) + 1 in
+    [ Strategy.rowa n; maj; Strategy.primary n;
+      Strategy.weighted ~name:"w"
+        ~votes:(Array.init n (fun i -> if i = 0 then 2 else 1))
+        ~r ~w:(total - r + 1) ]
+    @ List.filter_map
+        (fun rows ->
+          if n mod rows = 0 then Some (Strategy.grid ~rows ~cols:(n / rows))
+          else None)
+        (List.init n succ)
+    @ List.init (min 3 n) (fun g -> Strategy.tree ~groups:(g + 1) n)
+    @ Store.Autotune.candidates n
+  in
+  let pairs n =
+    let cands = Store.Autotune.candidates n in
+    List.concat_map
+      (fun a -> List.map (fun b -> Store.Autotune.joint a b) cands)
+      cands
+  in
+  let checked = ref 0 in
+  for n = 1 to 9 do
+    List.iter
+      (fun (s : Strategy.t) ->
+        incr checked;
+        let label side = Fmt.str "n=%d %s %s" n s.Strategy.name side in
+        let reads = spec_minimal s.Strategy.read_ok n
+        and writes = spec_minimal s.Strategy.write_ok n in
+        Alcotest.(check (list int)) (label "minimal reads") reads
+          (Strategy.minimal_read_quorums s);
+        Alcotest.(check (list int)) (label "minimal writes") writes
+          (Strategy.minimal_write_quorums s);
+        Alcotest.(check (list int)) (label "smallest reads")
+          (spec_smallest reads)
+          (Strategy.smallest_read_quorums s);
+        Alcotest.(check (list int)) (label "smallest writes")
+          (spec_smallest writes)
+          (Strategy.smallest_write_quorums s))
+      (families n @ pairs n)
+  done;
+  Alcotest.(check bool) "strategies checked" true (!checked > 500)
+
 let test_strategy_weighted_rejects () =
   Alcotest.check_raises "r+w<=v"
     (Invalid_argument "Strategy.weighted: r + w must exceed v") (fun () ->
@@ -380,6 +460,10 @@ let suites =
         Alcotest.test_case "families legal" `Quick test_strategy_legal;
         Alcotest.test_case "minimum quorum sizes" `Quick test_strategy_min_quorums;
         Alcotest.test_case "weighted validation" `Quick test_strategy_weighted_rejects;
+        Alcotest.test_case "empty read quorum is illegal" `Quick
+          test_legal_empty_read_quorum;
+        Alcotest.test_case "quorum tables match the derivation" `Quick
+          test_quorum_tables;
         qcheck prop_weighted_strategies_legal;
         Alcotest.test_case "closed-form availability" `Quick
           test_availability_closed_forms;

@@ -95,7 +95,7 @@ let test_tree_validation () =
 (* ---------- the analytic model ---------- *)
 
 let test_model_majority_closed_forms () =
-  let s = Autotune.to_system (Strategy.majority 5) in
+  let s = Strategy.system (Strategy.majority 5) in
   Alcotest.(check bool) "majority-5 legal" true (Model.legal s);
   let sc = Model.score s ~read_fraction:1.0 ~p_alive:1.0 ~lat:(fun _ -> 1.0) in
   (* pure reads, smallest quorums have 3 of 5 members, uniform pick:
@@ -109,9 +109,9 @@ let test_model_majority_closed_forms () =
   Alcotest.check feq "pure-write peak load is 6/5" 1.2 sc0.Model.peak_load
 
 let test_model_cross_legal () =
-  let maj = Autotune.to_system (Strategy.majority 5) in
+  let maj = Strategy.system (Strategy.majority 5) in
   let r2w4 =
-    Autotune.to_system
+    Strategy.system
       (Strategy.make ~name:"read-2/write-4" ~n:5
          ~read_ok:(fun m -> Strategy.popcount m >= 2)
          ~write_ok:(fun m -> Strategy.popcount m >= 4))
@@ -137,8 +137,8 @@ let test_joint_strategy () =
   Alcotest.(check bool) "joint is legal" true (Strategy.legal j);
   (* joint quorums satisfy both predicates, so they intersect the old
      strategy's quorums (covering data at rest) and the new one's *)
-  let sj = Autotune.to_system j in
-  let sa = Autotune.to_system a and sb = Autotune.to_system b in
+  let sj = Strategy.system j in
+  let sa = Strategy.system a and sb = Strategy.system b in
   Alcotest.(check bool) "joint reads meet old writes" true
     (Model.cross_legal
        ~reads:(Model.minimal_read_quorums sj)
@@ -181,7 +181,7 @@ let prop_optimizer_sound =
             QCheck.Test.fail_reportf "illegal pick %s" strategy.Strategy.name;
           let maj =
             Model.score
-              (Autotune.to_system (Strategy.majority n))
+              (Strategy.system (Strategy.majority n))
               ~read_fraction ~p_alive ~lat
           in
           Model.objective config score
